@@ -1,4 +1,4 @@
-.PHONY: all check check-faults check-plan check-serve check-bitset check-kernel check-updates check-recovery test bench bench-smoke clean
+.PHONY: all check perfbench-selftest check-faults check-plan check-serve check-bitset check-kernel check-updates check-recovery test bench bench-smoke clean
 
 all:
 	dune build @all
@@ -17,6 +17,14 @@ check:
 	$(MAKE) check-kernel
 	$(MAKE) check-updates
 	$(MAKE) check-recovery
+	$(MAKE) perfbench-selftest
+
+# The serve benchmark's self-test (perfbench/run.py --self-test): builds
+# the benchmark driver against the current libraries and runs every
+# workload briefly, untraced and traced.  A library API change that
+# breaks the driver's build fails here, not only in a benchmark run.
+perfbench-selftest:
+	python3 perfbench/run.py --self-test
 
 # The whole suite again with every library failpoint site armed — a
 # delay-only schedule, so checks take the armed slow path (registry

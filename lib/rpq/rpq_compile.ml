@@ -166,6 +166,34 @@ let retained t = Atomic.get t.retained
 
 (* --- cached evaluation -------------------------------------------------- *)
 
+(* Swap pairs sorted by (v, u) into (u, v) pairs sorted by (u, v): a
+   stable counting sort on [u] over [n] node ids, O(n + answers) where a
+   comparison sort costs O(answers log answers).  Each [u] bucket
+   receives its [v]s in input order, already ascending. *)
+let transpose_sorted ~n ps =
+  let start = Array.make (n + 1) 0 in
+  List.iter (fun (_, u) -> start.(u + 1) <- start.(u + 1) + 1) ps;
+  for u = 1 to n do
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  let vs = Array.make start.(n) 0 in
+  let next = Array.sub start 0 n in
+  List.iter
+    (fun (v, u) ->
+      vs.(next.(u)) <- v;
+      next.(u) <- next.(u) + 1)
+    ps;
+  (* Build the list back to front: position [i] belongs to the last [u]
+     whose bucket starts at or before it. *)
+  let acc = ref [] and u = ref (n - 1) in
+  for i = start.(n) - 1 downto 0 do
+    while start.(!u) > i do
+      decr u
+    done;
+    acc := (!u, vs.(i)) :: !acc
+  done;
+  !acc
+
 let pairs_bounded ?pool ?(obs = Obs.none) ?planner t gov g c =
   let use_planner =
     match planner with Some b -> b | None -> Planner.enabled_from_env ()
@@ -180,8 +208,7 @@ let pairs_bounded ?pool ?(obs = Obs.none) ?planner t gov g c =
   | Planner.Backward ->
       Obs.incr obs "plan.backward";
       Rpq_eval.pairs_product_bounded ?pool ~obs gov (product_rev ~obs t g c)
-      |> Governor.map (fun ps ->
-             List.sort Stdlib.compare (List.rev_map (fun (v, u) -> (u, v)) ps))
+      |> Governor.map (transpose_sorted ~n:(Elg.nb_nodes g))
 
 let from_source_bounded ?(obs = Obs.none) t gov g c ~src =
   Obs.span obs "rpq.eval" @@ fun () ->

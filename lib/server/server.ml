@@ -4,7 +4,7 @@
    Architecture: one I/O domain multiplexes the listening socket and
    every connected client with [Unix.select]; complete frames are
    admitted into a bounded [Admission] queue; a fixed pool of worker
-   domains pops requests, runs them through [Session.handle_safe]
+   domains pops requests, runs them through [Session.handle_line]
    (shared graph snapshot, shared compilation cache, per-client
    breakers and budgets) and writes the reply back under the client's
    write lock.  Everything that crosses domains is an atomic, a mutex,
@@ -136,8 +136,10 @@ type client = {
   framer : Wire.Framer.t;
   session : Session.t;
   inflight : int Atomic.t;
-  wlock : Mutex.t;  (* guards [obuf] and ordering of writes to [fd] *)
-  obuf : Buffer.t;  (* replies the socket couldn't take yet *)
+  wlock : Mutex.t;  (* guards the pending fields and ordering of writes to [fd] *)
+  pending : string Queue.t;  (* whole reply lines the socket couldn't take yet *)
+  mutable pending_off : int;  (* bytes of the head line already written *)
+  mutable pending_bytes : int;  (* unwritten bytes across [pending] *)
   alive : bool Atomic.t;  (* write side usable; cleared on write error *)
   closing : bool Atomic.t;  (* quit seen: close once in-flight drains *)
   bucket : bucket option;
@@ -161,6 +163,8 @@ type state = {
   workers_done : int Atomic.t;
   nworkers : int;
   rbuf : Bytes.t;  (* I/O domain read scratch *)
+  wake_r : Unix.file_descr;  (* self-pipe: a worker left output pending *)
+  wake_w : Unix.file_descr;
   mutable next_cid : int;  (* I/O domain only *)
   mutable listener_open : bool;  (* I/O domain only *)
 }
@@ -170,15 +174,21 @@ type t = { st : state; io : unit Domain.t }
 (* --- replies over the wire ------------------------------------------------ *)
 
 (* Client sockets are non-blocking and every reply goes through a
-   bounded per-client output buffer: a reader that stalls (or floods
+   bounded per-client output queue: a reader that stalls (or floods
    without reading, like a hostile pipeline) can never block the I/O
    domain or a worker mid-[send] — that would wedge every other client
-   behind one slow socket.  What the socket can't take immediately is
-   buffered and flushed by the I/O loop when [select] reports the fd
-   writable; past [max_pending] bytes the client is dropped. *)
+   behind one slow socket.  A reply line the socket can't take at once
+   is queued whole, with the offset already written, and flushed by the
+   I/O loop when [select] reports the fd writable.  A client with
+   [max_pending] bytes queued behind the line being written is not
+   reading and is dropped; the line in progress does not count, so a
+   reader that pipelines replies larger than the bound still gets them.
+   Each line is written in order under [wlock], so two in-flight
+   replies to one client never interleave. *)
 let max_pending = 1 lsl 20
 
-(* Write as much as the socket accepts without blocking. *)
+(* Write as much of [s] from [off0] as the socket accepts without
+   blocking. *)
 let write_nb fd s off0 =
   let len = String.length s in
   let rec go off =
@@ -194,28 +204,52 @@ let write_nb fd s off0 =
   in
   go off0
 
+(* Wake the I/O domain out of [select] so it starts flushing a queue a
+   worker just filled, instead of at its next timeout.  A full pipe
+   already holds a pending wake-up. *)
+let wake st =
+  try ignore (Unix.write_substring st.wake_w "w" 0 1)
+  with Unix.Unix_error _ -> ()
+
+let drain_wakes st =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read st.wake_r b 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+(* [line] is one whole reply, newline included. *)
 let send st c line =
-  let s = line ^ "\n" in
   Mutex.lock c.wlock;
   let r =
     if not (Atomic.get c.alive) then `Dead
-    else if Buffer.length c.obuf > 0 then
-      if Buffer.length c.obuf + String.length s > max_pending then `Slow
+    else if c.pending_bytes > 0 then
+      let head = String.length (Queue.peek c.pending) - c.pending_off in
+      if c.pending_bytes - head >= max_pending then `Slow
       else begin
-        Buffer.add_string c.obuf s;
+        Queue.add line c.pending;
+        c.pending_bytes <- c.pending_bytes + String.length line;
         `Sent
       end
     else
-      match write_nb c.fd s 0 with
+      match write_nb c.fd line 0 with
       | `All -> `Sent
       | `Failed -> `Err
       | `Partial off ->
-          Buffer.add_substring c.obuf s off (String.length s - off);
-          `Sent
+          Queue.add line c.pending;
+          c.pending_off <- off;
+          c.pending_bytes <- String.length line - off;
+          `Queued
   in
   Mutex.unlock c.wlock;
   match r with
   | `Sent -> Obs.incr st.obs "server.replies"
+  | `Queued ->
+      Obs.incr st.obs "server.replies";
+      wake st
   | `Dead -> ()
   | `Err ->
       (* EPIPE or peer reset: drop only this client; its in-flight work
@@ -228,31 +262,40 @@ let send st c line =
 
 let has_pending c =
   Mutex.lock c.wlock;
-  let p = Buffer.length c.obuf > 0 in
+  let p = c.pending_bytes > 0 in
   Mutex.unlock c.wlock;
   p
 
-(* I/O domain, when [select] reports [c.fd] writable. *)
+(* I/O domain, when [select] reports [c.fd] writable: write queued lines
+   in order, resuming the head line at its offset. *)
 let flush_pending st c =
   Mutex.lock c.wlock;
-  (if Atomic.get c.alive && Buffer.length c.obuf > 0 then begin
-     let s = Buffer.contents c.obuf in
-     match write_nb c.fd s 0 with
-     | `All -> Buffer.clear c.obuf
-     | `Partial off ->
-         let rest = String.sub s off (String.length s - off) in
-         Buffer.clear c.obuf;
-         Buffer.add_string c.obuf rest
-     | `Failed ->
-         Buffer.clear c.obuf;
-         if Atomic.exchange c.alive false then
-           Obs.incr st.obs "server.write_drops"
-   end);
+  let rec go () =
+    match Queue.peek_opt c.pending with
+    | None -> ()
+    | Some line -> (
+        match write_nb c.fd line c.pending_off with
+        | `All ->
+            c.pending_bytes <- c.pending_bytes - (String.length line - c.pending_off);
+            c.pending_off <- 0;
+            ignore (Queue.pop c.pending);
+            go ()
+        | `Partial off ->
+            c.pending_bytes <- c.pending_bytes - (off - c.pending_off);
+            c.pending_off <- off
+        | `Failed ->
+            Queue.clear c.pending;
+            c.pending_off <- 0;
+            c.pending_bytes <- 0;
+            if Atomic.exchange c.alive false then
+              Obs.incr st.obs "server.write_drops")
+  in
+  if Atomic.get c.alive then go ();
   Mutex.unlock c.wlock
 
 let shed st c ~id ~cmd ~reason ~retry_after_ms =
   Obs.incr st.obs ("server.shed." ^ reason);
-  send st c (Session.shed_reply ~id ~cmd ~reason ~retry_after_ms)
+  send st c (Session.shed_reply ~id ~cmd ~reason ~retry_after_ms ^ "\n")
 
 (* --- worker domains ------------------------------------------------------- *)
 
@@ -262,6 +305,8 @@ let max_batch = 63
 
 let worker st () =
   let gauge_inflight = Obs.gauge_fn st.obs "server.inflight" in
+  (* This worker's render buffer, reused by every request it serves. *)
+  let buf = Buffer.create 4096 in
   let finish c =
     (* Decrement last: while a request is in flight its client's fd
        is never closed, so a worker can never write into a reused
@@ -270,7 +315,7 @@ let worker st () =
     gauge_inflight (-1)
   in
   let solo c rid rline =
-    let action, spent = Session.handle_safe c.session ~id:rid rline in
+    let action, spent = Session.handle_line c.session buf ~id:rid rline in
     (match c.bucket with
     | Some b when spent > 0 -> bucket_charge b spent
     | _ -> ());
@@ -293,7 +338,7 @@ let worker st () =
         ignore (Atomic.fetch_and_add st.batched (List.length members));
         Obs.add st.obs "server.batched" (List.length members);
         let replies, spents =
-          Session.handle_batch
+          Session.handle_batch buf
             (List.map (fun r -> (r.rc.session, r.rid, r.rline)) members)
         in
         List.iter2
@@ -335,7 +380,7 @@ let admit st c frame =
         (match frame with
         | Wire.Too_long _ -> "server.bad_frame.too_long"
         | _ -> "server.bad_frame.utf8");
-      send st c (Session.frame_error_reply ~id:c.next_id frame)
+      send st c (Session.frame_error_reply ~id:c.next_id frame ^ "\n")
   | Wire.Line raw ->
       let line = String.trim raw in
       if line = "" || line.[0] = '#' then ()
@@ -453,7 +498,9 @@ let accept_one st clients =
                 ~extra_stats:(server_stats st) st.shared;
             inflight = Atomic.make 0;
             wlock = Mutex.create ();
-            obuf = Buffer.create 256;
+            pending = Queue.create ();
+            pending_off = 0;
+            pending_bytes = 0;
             alive = Atomic.make true;
             closing = Atomic.make false;
             bucket =
@@ -554,14 +601,16 @@ let io_main st workers =
         finished := true
       end
       else begin
-        match Unix.select [] (wfds_of ()) [] 0.01 with
+        match Unix.select [ st.wake_r ] (wfds_of ()) [] 0.01 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | _, wready, _ -> flush_ready wready
+        | ready, wready, _ ->
+            if ready <> [] then drain_wakes st;
+            flush_ready wready
       end
     end
     else begin
       let fds =
-        st.listen_fd
+        st.wake_r :: st.listen_fd
         :: List.filter_map
              (fun c ->
                if
@@ -574,6 +623,7 @@ let io_main st workers =
       match Unix.select fds (wfds_of ()) [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | ready, wready, _ ->
+          if List.mem st.wake_r ready then drain_wakes st;
           flush_ready wready;
           if List.mem st.listen_fd ready then accept_one st clients;
           List.iter
@@ -585,6 +635,9 @@ let io_main st workers =
   (* Workers are gone: nothing can append any more; flush and close. *)
   Session.wal_close st.shared;
   close_listener st;
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ st.wake_r; st.wake_w ];
   Atomic.set st.stopped true
 
 (* --- lifecycle ------------------------------------------------------------ *)
@@ -636,11 +689,20 @@ let launch ?wal ?initial cfg =
   let nworkers =
     match cfg.workers with
     | Some n -> max 1 n
-    | None -> max 1 (Pool.size (Pool.default ()))
+    | None -> max 1 (Pool.size (Pool.create ()))
   in
+  (* Serve-mode kernel width: the worker domains already fill the cores,
+     so a request forks only into the hardware threads left over per
+     worker — usually none, and the parallelism policy then reports
+     [hardware_serial] instead of spawning and joining a domain on top
+     of every large request. *)
+  Pool.set_default_size (max 1 (Domain.recommended_domain_count () / nworkers));
   let gauge_depth = Obs.gauge_fn obs "server.queue.depth" in
   let depth_seen = ref 0 in
   let shared = Session.make_shared ?wal cfg.session in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   (* A recovered snapshot (gqd --wal) is live before the first client
      connects. *)
   Option.iter (Session.publish_initial shared) initial;
@@ -664,6 +726,8 @@ let launch ?wal ?initial cfg =
       workers_done = Atomic.make 0;
       nworkers;
       rbuf = Bytes.create 8192;
+      wake_r;
+      wake_w;
       next_cid = 0;
       listener_open = true;
     }
@@ -704,9 +768,11 @@ let run_stdio ?(max_line = 65536) ?wal ?initial scfg =
   let sess = Session.create shared in
   let framer = Wire.Framer.create ~max_line () in
   let buf = Bytes.create 8192 in
+  let out = Buffer.create 4096 in
   let id = ref 0 in
-  let emit s =
-    match Wire.write_all Unix.stdout (s ^ "\n") with
+  (* [line] ends in its newline. *)
+  let emit line =
+    match Wire.write_all Unix.stdout line with
     | Ok () -> true
     | Error `Closed -> false
   in
@@ -715,13 +781,13 @@ let run_stdio ?(max_line = 65536) ?wal ?initial scfg =
     match frame with
     | Wire.Too_long _ | Wire.Bad_utf8 ->
         incr id;
-        emit (Session.frame_error_reply ~id:!id frame)
+        emit (Session.frame_error_reply ~id:!id frame ^ "\n")
     | Wire.Line raw ->
         let line = String.trim raw in
         if line = "" || line.[0] = '#' then true
         else begin
           incr id;
-          match Session.handle_safe sess ~id:!id line with
+          match Session.handle_line sess out ~id:!id line with
           | Session.Silent, _ -> true
           | Session.Reply s, _ -> emit s
           | Session.Quit s, _ ->

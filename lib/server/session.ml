@@ -187,15 +187,61 @@ type ctx = { mutable spent : int }
 
 (* --- reply rendering ------------------------------------------------------ *)
 
+(* The cmd field echoes client input (e.g. an unknown verb); bound it so
+   a junk line of tens of kilobytes cannot balloon the reply — a flooding
+   client must never dictate how much the server writes back. *)
+let bound_cmd cmd = if String.length cmd > 64 then String.sub cmd 0 64 else cmd
+
 let reply id cmd ~status ~code (extra : jfield list) =
-  (* The cmd field echoes client input (e.g. an unknown verb); bound it
-     so a junk line of tens of kilobytes cannot balloon the reply — a
-     flooding client must never dictate how much the server writes
-     back. *)
-  let cmd = if String.length cmd > 64 then String.sub cmd 0 64 else cmd in
   jobj
-    (("id", jint id) :: ("cmd", jstr cmd) :: ("status", jstr status)
+    (("id", jint id) :: ("cmd", jstr (bound_cmd cmd)) :: ("status", jstr status)
     :: ("code", jint code) :: extra)
+
+(* Answer-bearing replies are rendered straight into the caller's
+   buffer, field by field, in exactly [reply]'s bytes: the answers never
+   pass through a list of strings or an intermediate JSON array. *)
+let add_field b k v =
+  Buffer.add_char b ',';
+  add_jstr b k;
+  Buffer.add_char b ':';
+  Buffer.add_string b v
+
+(* [reply]'s first four fields, without the closing brace. *)
+let add_head b id cmd ~status ~code =
+  Buffer.add_string b "{\"id\":";
+  Buffer.add_string b (jint id);
+  add_field b "cmd" (jstr (bound_cmd cmd));
+  add_field b "status" (jstr status);
+  add_field b "code" (jint code)
+
+(* Append the JSON array of [xs], each element rendered by [add];
+   returns the element count.  [fold] is [List.fold_left] or
+   [Array.fold_left]. *)
+let add_items fold b add xs =
+  Buffer.add_char b '[';
+  let n =
+    fold
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        add b x;
+        i + 1)
+      0 xs
+  in
+  Buffer.add_char b ']';
+  n
+
+let add_list b add xs = add_items List.fold_left b add xs
+let add_array b add xs = add_items Array.fold_left b add xs
+
+(* One rpq answer, ["src -> tgt"]. *)
+let add_pair g b (u, v) =
+  Buffer.add_char b '"';
+  add_escaped b (Elg.node_name g u);
+  Buffer.add_string b " -> ";
+  add_escaped b (Elg.node_name g v);
+  Buffer.add_char b '"'
+
+let add_name g b v = add_jstr b (Elg.node_name g v)
 
 let error_fields ?(attempts = 0) err =
   [
@@ -288,14 +334,14 @@ let supervised_outcome sess ctx ~cls body =
     ~gov:(governor_of sess)
     (governed sess ctx body)
 
-(* Render one supervised outcome as [id]'s reply.  [render] turns the
-   outcome into the pre-rendered answers JSON array and its count — it
-   must be total on the [Aborted] payload. *)
-let outcome_reply_render id ~cls sup ~render =
+(* Render one supervised outcome as [id]'s reply into [b].  [render]
+   appends the answers array for a payload and returns its count; an
+   aborted run carries no payload and answers [[]]. *)
+let render_outcome b id ~cls sup ~render =
   match sup.Supervise.outcome with
-  | Error err -> error_reply id cls ~attempts:sup.Supervise.attempts err
+  | Error err ->
+      Buffer.add_string b (error_reply id cls ~attempts:sup.Supervise.attempts err)
   | Ok outcome ->
-      let answers_json, count = render outcome in
       let status, code, reason =
         match outcome with
         | Governor.Complete _ ->
@@ -305,25 +351,25 @@ let outcome_reply_render id ~cls sup ~render =
               Gq_error.exit_code (Gq_error.Budget r),
               Some r )
       in
-      reply id cls ~status ~code
-        (("degraded", jbool sup.Supervise.degraded)
-        :: ("attempts", jint sup.Supervise.attempts)
-        :: (match reason with
-           | Some r -> [ ("reason", jstr (Governor.reason_slug r)) ]
-           | None -> [])
-        @ [ ("answers", answers_json); ("count", jint count) ])
+      add_head b id cls ~status ~code;
+      add_field b "degraded" (jbool sup.Supervise.degraded);
+      add_field b "attempts" (jint sup.Supervise.attempts);
+      Option.iter
+        (fun r -> add_field b "reason" (jstr (Governor.reason_slug r)))
+        reason;
+      Buffer.add_string b ",\"answers\":";
+      let count =
+        match outcome with
+        | Governor.Complete x | Governor.Partial (x, _) -> render b x
+        | Governor.Aborted _ ->
+            Buffer.add_string b "[]";
+            0
+      in
+      add_field b "count" (jint count);
+      Buffer.add_char b '}'
 
-(* [answers_of] projects the payload to this request's display strings —
-   identity for a solo request, the member's slice for a batched one. *)
-let outcome_reply id ~cls sup ~default ~answers_of =
-  outcome_reply_render id ~cls sup ~render:(fun outcome ->
-      let answers = answers_of (Governor.payload ~default outcome) in
-      (jarr (List.map jstr answers), List.length answers))
-
-(* [body] returns the answers as display strings. *)
-let supervised sess ctx id ~cls body =
-  let sup = supervised_outcome sess ctx ~cls body in
-  outcome_reply id ~cls sup ~default:[] ~answers_of:Fun.id
+let supervised sess ctx b id ~cls body ~render =
+  render_outcome b id ~cls (supervised_outcome sess ctx ~cls body) ~render
 
 let graph_or_fail sess =
   match Epoch.snapshot sess.shared.graph with
@@ -550,66 +596,71 @@ let cmd_save_bin sess ctx id path =
           error_reply id "save-bin" ~attempts:sup.Supervise.attempts
             (Gq_error.Budget r))
 
-let cmd_rpq sess ctx id src =
-  let obs = sess.shared.config.obs in
-  match Rpq_compile.compile ~obs sess.shared.cache src with
-  | Error err -> error_reply id "rpq" err
-  | Ok c ->
-      supervised sess ctx id ~cls:"rpq" (fun gov ->
-          let g = Pg.elg (graph_or_fail sess) in
-          Governor.map
-            (List.map (fun (u, v) ->
-                 Elg.node_name g u ^ " -> " ^ Elg.node_name g v))
-            (Rpq_compile.pairs_bounded ~obs sess.shared.cache gov g c))
+(* Evaluation bodies return their answers as ids paired with the graph
+   snapshot they were computed on, so rendering resolves names against
+   that same snapshot. *)
+let with_graph g outcome = Governor.map (fun xs -> (g, xs)) outcome
 
-let cmd_rpq_from sess ctx id node src =
+let cmd_rpq sess ctx b id src =
   let obs = sess.shared.config.obs in
   match Rpq_compile.compile ~obs sess.shared.cache src with
-  | Error err -> error_reply id "rpq-from" err
+  | Error err -> Buffer.add_string b (error_reply id "rpq" err)
   | Ok c ->
-      supervised sess ctx id ~cls:"rpq-from" (fun gov ->
+      supervised sess ctx b id ~cls:"rpq"
+        (fun gov ->
+          let g = Pg.elg (graph_or_fail sess) in
+          with_graph g (Rpq_compile.pairs_bounded ~obs sess.shared.cache gov g c))
+        ~render:(fun b (g, pairs) -> add_list b (add_pair g) pairs)
+
+let cmd_rpq_from sess ctx b id node src =
+  let obs = sess.shared.config.obs in
+  match Rpq_compile.compile ~obs sess.shared.cache src with
+  | Error err -> Buffer.add_string b (error_reply id "rpq-from" err)
+  | Ok c ->
+      supervised sess ctx b id ~cls:"rpq-from"
+        (fun gov ->
           let g = Pg.elg (graph_or_fail sess) in
           let src_id = node_id_or_fail g node in
-          Governor.map
-            (List.map (Elg.node_name g))
+          with_graph g
             (Rpq_compile.from_source_bounded ~obs sess.shared.cache gov g c
                ~src:src_id))
+        ~render:(fun b (g, targets) -> add_list b (add_name g) targets)
 
-let cmd_shortest sess ctx id src_name tgt_name regex =
+let cmd_shortest sess ctx b id src_name tgt_name regex =
   match Rpq_parse.parse_res regex with
-  | Error err -> error_reply id "shortest" err
+  | Error err -> Buffer.add_string b (error_reply id "shortest" err)
   | Ok r ->
-      supervised sess ctx id ~cls:"shortest" (fun gov ->
+      supervised sess ctx b id ~cls:"shortest"
+        (fun gov ->
           let g = Pg.elg (graph_or_fail sess) in
           let src = node_id_or_fail g src_name in
           let tgt = node_id_or_fail g tgt_name in
-          Governor.map
-            (List.map (Path.to_string g))
+          with_graph g
             (Path_modes.shortest_bounded ~obs:sess.shared.config.obs gov g r
                ~src ~tgt))
+        ~render:(fun b (g, paths) ->
+          add_list b (fun b p -> add_jstr b (Path.to_string g p)) paths)
 
-let cmd_query sess ctx id src =
+let cmd_query sess ctx b id src =
   match Gql_query.parse_res src with
-  | Error err -> error_reply id "query" err
+  | Error err -> Buffer.add_string b (error_reply id "query" err)
   | Ok q ->
-      supervised sess ctx id ~cls:"query" (fun gov ->
+      supervised sess ctx b id ~cls:"query"
+        (fun gov ->
           let pg = graph_or_fail sess in
-          let g = Pg.elg pg in
           match
             Gql_query.eval_bounded ~max_len:8 ~obs:sess.shared.config.obs gov
               pg q
           with
-          | outcome ->
-              Governor.map
-                (fun rel ->
-                  List.map
-                    (fun row ->
-                      String.concat " | "
-                        (List.map (Relation.cell_to_string g) row))
-                    (Relation.rows rel))
-                outcome
+          | outcome -> with_graph (Pg.elg pg) outcome
           | exception Gql_query.Eval_error msg ->
               raise (Gq_error.Error (Gq_error.Eval msg)))
+        ~render:(fun b (g, rel) ->
+          add_list b
+            (fun b row ->
+              add_jstr b
+                (String.concat " | " (List.map (Relation.cell_to_string g) row)))
+            (Relation.rows rel))
 
 let cmd_set sess id key value =
   let ok v = reply id "set" ~status:"ok" ~code:0 [ ("key", jstr key); ("value", jstr v) ] in
@@ -862,99 +913,141 @@ let split_first line =
       ( String.sub line 0 i,
         String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
 
-let handle sess ctx id line =
+let handle sess ctx b id line =
   let verb, rest = split_first line in
+  (* Small replies are rendered as strings; the answer-bearing commands
+     write into [b] themselves. *)
+  let str s =
+    Buffer.add_string b s;
+    `Reply
+  in
   match verb with
-  | "ping" -> Reply (reply id "ping" ~status:"ok" ~code:0 [])
-  | "quit" -> Quit (reply id "quit" ~status:"ok" ~code:0 [])
-  | "stats" -> Reply (cmd_stats sess id)
+  | "ping" -> str (reply id "ping" ~status:"ok" ~code:0 [])
+  | "quit" ->
+      Buffer.add_string b (reply id "quit" ~status:"ok" ~code:0 []);
+      `Quit
+  | "stats" -> str (cmd_stats sess id)
   | "load" ->
-      if rest = "" then Reply (parse_error id "load" "load: missing path")
-      else Reply (cmd_load sess ctx id rest)
+      if rest = "" then str (parse_error id "load" "load: missing path")
+      else str (cmd_load sess ctx id rest)
   | "add-edge" ->
       if rest = "" then
-        Reply
+        str
           (parse_error id "add-edge"
              "add-edge: expected NAME SRC LABEL TGT [key=value ...]")
       else
-        Reply
+        str
           (match Delta.parse_res ("add " ^ rest) with
           | Error err -> error_reply id "add-edge" err
           | Ok ops -> cmd_delta sess ctx id "add-edge" ops)
   | "del-edge" ->
       if rest = "" then
-        Reply (parse_error id "del-edge" "del-edge: expected NAME")
+        str (parse_error id "del-edge" "del-edge: expected NAME")
       else
-        Reply
+        str
           (match Delta.parse_res ("del " ^ rest) with
           | Error err -> error_reply id "del-edge" err
           | Ok ops -> cmd_delta sess ctx id "del-edge" ops)
   | "del-node" ->
       if rest = "" then
-        Reply (parse_error id "del-node" "del-node: expected NAME")
+        str (parse_error id "del-node" "del-node: expected NAME")
       else
-        Reply
+        str
           (match Delta.parse_res ("deln " ^ rest) with
           | Error err -> error_reply id "del-node" err
           | Ok ops -> cmd_delta sess ctx id "del-node" ops)
   | "delta-load" ->
       if rest = "" then
-        Reply (parse_error id "delta-load" "delta-load: missing path")
+        str (parse_error id "delta-load" "delta-load: missing path")
       else
-        Reply
+        str
           (match Delta.parse_file_res rest with
           | Error err -> error_reply id "delta-load" err
           | Ok ops -> cmd_delta sess ctx id "delta-load" ops)
   | "save-bin" ->
       if rest = "" then
-        Reply (parse_error id "save-bin" "save-bin: missing path")
-      else Reply (cmd_save_bin sess ctx id rest)
+        str (parse_error id "save-bin" "save-bin: missing path")
+      else str (cmd_save_bin sess ctx id rest)
   | "rpq" ->
-      if rest = "" then Reply (parse_error id "rpq" "rpq: missing regex")
-      else Reply (cmd_rpq sess ctx id rest)
+      if rest = "" then str (parse_error id "rpq" "rpq: missing regex")
+      else begin
+        cmd_rpq sess ctx b id rest;
+        `Reply
+      end
   | "rpq-from" -> (
       match split_first rest with
       | node, regex when node <> "" && regex <> "" ->
-          Reply (cmd_rpq_from sess ctx id node regex)
-      | _ -> Reply (parse_error id "rpq-from" "rpq-from: expected NODE REGEX"))
+          cmd_rpq_from sess ctx b id node regex;
+          `Reply
+      | _ -> str (parse_error id "rpq-from" "rpq-from: expected NODE REGEX"))
   | "shortest" -> (
       match split_first rest with
       | src, rest' when src <> "" -> (
           match split_first rest' with
           | tgt, regex when tgt <> "" && regex <> "" ->
-              Reply (cmd_shortest sess ctx id src tgt regex)
-          | _ -> Reply (parse_error id "shortest" "shortest: expected SRC TGT REGEX"))
-      | _ -> Reply (parse_error id "shortest" "shortest: expected SRC TGT REGEX"))
+              cmd_shortest sess ctx b id src tgt regex;
+              `Reply
+          | _ -> str (parse_error id "shortest" "shortest: expected SRC TGT REGEX"))
+      | _ -> str (parse_error id "shortest" "shortest: expected SRC TGT REGEX"))
   | "query" ->
-      if rest = "" then Reply (parse_error id "query" "query: missing query text")
-      else Reply (cmd_query sess ctx id rest)
+      if rest = "" then str (parse_error id "query" "query: missing query text")
+      else begin
+        cmd_query sess ctx b id rest;
+        `Reply
+      end
   | "plan" ->
-      if rest = "" then Reply (parse_error id "plan" "plan: missing query text")
-      else Reply (cmd_plan sess id rest)
+      if rest = "" then str (parse_error id "plan" "plan: missing query text")
+      else str (cmd_plan sess id rest)
   | "set" -> (
       match split_first rest with
-      | key, value when key <> "" && value <> "" -> Reply (cmd_set sess id key value)
-      | _ -> Reply (parse_error id "set" "set: expected KEY VALUE"))
+      | key, value when key <> "" && value <> "" -> str (cmd_set sess id key value)
+      | _ -> str (parse_error id "set" "set: expected KEY VALUE"))
   | verb ->
       (* Bound the echoed verb: error messages must stay small no matter
          how long the junk line was. *)
       let shown =
         if String.length verb > 64 then String.sub verb 0 64 ^ "..." else verb
       in
-      Reply (parse_error id verb (Printf.sprintf "unknown command %S" shown))
+      str (parse_error id verb (Printf.sprintf "unknown command %S" shown))
+
+(* A per-worker render buffer that one huge reply grew past this is
+   shrunk back, so the reply's size is not held for the process's
+   lifetime. *)
+let keep_bytes = 4 lsl 20
+
+(* The finished line: [b] as one string ending in a newline — the only
+   copy of the reply the server hands to the socket. *)
+let take_line b =
+  Buffer.add_char b '\n';
+  let s = Buffer.contents b in
+  if Buffer.length b > keep_bytes then Buffer.reset b else Buffer.clear b;
+  s
 
 (* The outermost safety net: if command handling itself blows up (a bug,
    an injected fault at an unsupervised site, a signal-free OOM), the
    session still answers with a structured error and keeps serving.
    Returns the action plus the governed work (steps) the request spent,
    for the server's per-client token-bucket accounting. *)
-let handle_safe sess ~id line =
+let handle_line sess b ~id line =
   let ctx = { spent = 0 } in
-  let action =
-    try handle sess ctx id line
-    with e -> Reply (error_reply id "internal" (Gq_error.of_exn e))
+  Buffer.clear b;
+  let kind =
+    try handle sess ctx b id line
+    with e ->
+      (* A render that failed midway leaves a partial reply behind. *)
+      Buffer.clear b;
+      Buffer.add_string b (error_reply id "internal" (Gq_error.of_exn e));
+      `Reply
   in
-  (action, ctx.spent)
+  let s = take_line b in
+  ((match kind with `Reply -> Reply s | `Quit -> Quit s), ctx.spent)
+
+let handle_safe sess ~id line =
+  let chop line = String.sub line 0 (String.length line - 1) in
+  match handle_line sess (Buffer.create 256) ~id line with
+  | Reply s, spent -> (Reply (chop s), spent)
+  | Quit s, spent -> (Quit (chop s), spent)
+  | Silent, spent -> (Silent, spent)
 
 (* --- request batching ----------------------------------------------------- *)
 
@@ -993,41 +1086,60 @@ let batch_key sess line =
         | _ -> None)
     | _ -> None
 
-(* One evaluation, one reply per member, each carrying its own id. *)
-let rpq_batch lead ctx members regex =
+(* One reply line per member: [render] writes it into [b]. *)
+let each_line b members render =
+  List.map
+    (fun m ->
+      render m;
+      take_line b)
+    members
+
+(* One evaluation, one reply per member, each carrying its own id.  The
+   answers array is rendered once, for the first member, and copied
+   into the others. *)
+let rpq_batch lead ctx b members regex =
   let obs = lead.shared.config.obs in
   match Rpq_compile.compile ~obs lead.shared.cache regex with
-  | Error err -> List.map (fun (_, id, _) -> error_reply id "rpq" err) members
+  | Error err ->
+      each_line b members (fun (_, id, _) ->
+          Buffer.add_string b (error_reply id "rpq" err))
   | Ok c ->
       let sup =
         supervised_outcome lead ctx ~cls:"rpq" (fun gov ->
             let g = Pg.elg (graph_or_fail lead) in
-            Governor.map
-              (List.map (fun (u, v) ->
-                   Elg.node_name g u ^ " -> " ^ Elg.node_name g v))
-              (Rpq_compile.pairs_bounded ~obs lead.shared.cache gov g c))
+            with_graph g (Rpq_compile.pairs_bounded ~obs lead.shared.cache gov g c))
       in
-      List.map
-        (fun (_, id, _) ->
-          outcome_reply id ~cls:"rpq" sup ~default:[] ~answers_of:Fun.id)
-        members
+      let rendered = ref None in
+      let render b (g, pairs) =
+        match !rendered with
+        | Some (arr, n) ->
+            Buffer.add_string b arr;
+            n
+        | None ->
+            let start = Buffer.length b in
+            let n = add_list b (add_pair g) pairs in
+            rendered := Some (Buffer.sub b start (Buffer.length b - start), n);
+            n
+      in
+      each_line b members (fun (_, id, _) ->
+          render_outcome b id ~cls:"rpq" sup ~render)
 
 (* Distinct source nodes packed into one multi-source run; members with
    an unknown node get their solo error reply without spoiling the
    batch, and duplicate nodes share one slot (and its answers). *)
-let rpq_from_batch lead ctx members regex =
+let rpq_from_batch lead ctx b members regex =
   let obs = lead.shared.config.obs in
   match Rpq_compile.compile ~obs lead.shared.cache regex with
   | Error err ->
-      List.map (fun (_, id, _) -> error_reply id "rpq-from" err) members
+      each_line b members (fun (_, id, _) ->
+          Buffer.add_string b (error_reply id "rpq-from" err))
   | Ok c -> (
       match Epoch.snapshot lead.shared.graph with
       | None ->
           (* [batch_key] requires a loaded graph; unreachable. *)
-          List.map
-            (fun (_, id, _) ->
-              error_reply id "rpq-from" (Gq_error.Eval "no graph loaded"))
-            members
+          each_line b members (fun (_, id, _) ->
+              Buffer.add_string b
+                (error_reply id "rpq-from" (Gq_error.Eval "no graph loaded")))
       | Some pg ->
           let g = Pg.elg pg in
           let slot = Hashtbl.create 8 in
@@ -1058,49 +1170,34 @@ let rpq_from_batch lead ctx members regex =
                 Rpq_compile.from_source_batch ~obs lead.shared.cache gov g c
                   ~srcs)
           in
-          List.map
-            (function
+          each_line b resolved (function
               | Error (id, node) ->
-                  error_reply id "rpq-from" ~attempts:1
-                    (Gq_error.Unknown_node node)
+                  Buffer.add_string b
+                    (error_reply id "rpq-from" ~attempts:1
+                       (Gq_error.Unknown_node node))
               | Ok (id, k) ->
-                  (* Render the member's slice straight off the kernel's
-                     per-source array — no intermediate id or name
-                     lists between the packed run and the wire. *)
-                  outcome_reply_render id ~cls:"rpq-from" sup
-                    ~render:(fun outcome ->
-                      let arr = Governor.payload ~default:[||] outcome in
-                      if k < Array.length arr && Array.length arr.(k) > 0
-                      then begin
-                        let row = arr.(k) in
-                        let b = Buffer.create ((16 * Array.length row) + 2) in
-                        Buffer.add_char b '[';
-                        Array.iteri
-                          (fun i v ->
-                            if i > 0 then Buffer.add_char b ',';
-                            Buffer.add_string b (jstr (Elg.node_name g v)))
-                          row;
-                        Buffer.add_char b ']';
-                        (Buffer.contents b, Array.length row)
-                      end
-                      else ("[]", 0)))
-            resolved)
+                  (* The member's slice, straight off the kernel's
+                     per-source array. *)
+                  render_outcome b id ~cls:"rpq-from" sup ~render:(fun b arr ->
+                      add_array b (add_name g)
+                        (if k < Array.length arr then arr.(k) else [||]))))
 
-let handle_batch members =
+let handle_batch b members =
   match members with
   | [] -> ([], [])
   | (lead, _, line) :: _ ->
       let ctx = { spent = 0 } in
       let verb, rest = split_first line in
+      Buffer.clear b;
       let replies =
         match verb with
-        | "rpq" -> rpq_batch lead ctx members rest
-        | "rpq-from" -> rpq_from_batch lead ctx members (snd (split_first rest))
+        | "rpq" -> rpq_batch lead ctx b members rest
+        | "rpq-from" -> rpq_from_batch lead ctx b members (snd (split_first rest))
         | _ ->
             (* [batch_key] only keys rpq/rpq-from; fall back per member. *)
             List.map
               (fun (sess, id, l) ->
-                let action, spent = handle_safe sess ~id l in
+                let action, spent = handle_line sess b ~id l in
                 ctx.spent <- ctx.spent + spent;
                 match action with Reply r | Quit r -> r | Silent -> "")
               members

@@ -87,6 +87,14 @@ type action =
     work (steps) the request spent, for per-client budget accounting. *)
 val handle_safe : t -> id:int -> string -> action * int
 
+(** [handle_line sess buf ~id line] is {!handle_safe} rendering into
+    [buf], a buffer the caller reuses across requests (one per server
+    worker): answers are written straight into it, and the reply comes
+    back as one string that already ends in ['\n'] — the only copy the
+    caller needs to hand to the socket.  [buf] is cleared first and
+    left empty (shrunk back if one huge reply grew it past 4 MiB). *)
+val handle_line : t -> Buffer.t -> id:int -> string -> action * int
+
 (** First space-separated token and trimmed remainder. *)
 val split_first : string -> string * string
 
@@ -103,13 +111,15 @@ val split_first : string -> string * string
     everything else, including when no graph is loaded. *)
 val batch_key : t -> string -> string option
 
-(** [handle_batch members] — evaluate a batch of key-equal requests
+(** [handle_batch buf members] — evaluate a batch of key-equal requests
     [(session, id, line)] once and render one reply per member, in
-    order, each under its own id; the second list is each member's share
-    of the governed work (for token-bucket charging).  The first member
-    is the leader: its session's budgets/retry/breaker drive the run
-    (equal across members by construction of the key). *)
-val handle_batch : (t * int * string) list -> string list * int list
+    order, each under its own id and ending in ['\n'] (rendered through
+    [buf] as {!handle_line} does); the second list is each member's
+    share of the governed work (for token-bucket charging).  The first
+    member is the leader: its session's budgets/retry/breaker drive the
+    run (equal across members by construction of the key). *)
+val handle_batch :
+  Buffer.t -> (t * int * string) list -> string list * int list
 
 (** {1 Reply rendering} *)
 

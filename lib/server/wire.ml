@@ -10,36 +10,110 @@
 
 (* --- JSON rendering ------------------------------------------------------ *)
 
+(* Answers are node names, which almost never need escaping, so every
+   renderer first scans for a byte that does ('"', '\\', or a control
+   byte below 0x20) and copies the string unchanged when there is none.
+   Strings are built at their exact size, never through [Printf]. *)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let clean s =
+  let rec go i =
+    i >= String.length s
+    || ((not (needs_escape (String.unsafe_get s i))) && go (i + 1))
+  in
+  go 0
+
+let hex = "0123456789abcdef"
+
 let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if clean s then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex.[Char.code c lsr 4];
+            Buffer.add_char buf hex.[Char.code c land 0xf]
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+let add_escaped buf s = Buffer.add_string buf (json_escape s)
+
+let add_jstr buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 (* A reply is an ordered list of key/rendered-value pairs. *)
 type jfield = string * string
 
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
 let jint = string_of_int
 let jbool = string_of_bool
 let jfloat x = Printf.sprintf "%.1f" x
 
-let jobj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
+(* [items] comma-separated between [l] and [r], in one exact-size
+   allocation: [width] is an item's rendered length, [blit b pos x]
+   writes it at [pos] and returns the position after it. *)
+let enclose l r items ~width ~blit =
+  let n =
+    List.fold_left (fun n x -> n + width x + 1) 1 items
+    + if items = [] then 1 else 0
+  in
+  let b = Bytes.create n in
+  Bytes.set b 0 l;
+  let first = ref true in
+  let pos =
+    List.fold_left
+      (fun pos x ->
+        if !first then begin
+          first := false;
+          blit b pos x
+        end
+        else begin
+          Bytes.set b pos ',';
+          blit b (pos + 1) x
+        end)
+      1 items
+  in
+  Bytes.set b pos r;
+  Bytes.unsafe_to_string b
 
-let jarr items = "[" ^ String.concat "," items ^ "]"
+let blit_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* ["\""; s; "\""] at [pos]. *)
+let blit_quoted b pos s =
+  Bytes.set b pos '"';
+  let pos = blit_string b (pos + 1) s in
+  Bytes.set b pos '"';
+  pos + 1
+
+let jstr s =
+  let e = json_escape s in
+  let b = Bytes.create (String.length e + 2) in
+  ignore (blit_quoted b 0 e);
+  Bytes.unsafe_to_string b
+
+let jarr items = enclose '[' ']' items ~width:String.length ~blit:blit_string
+
+let jobj fields =
+  enclose '{' '}' fields
+    ~width:(fun (k, v) -> String.length (json_escape k) + 3 + String.length v)
+    ~blit:(fun b pos (k, v) ->
+      let pos = blit_quoted b pos (json_escape k) in
+      Bytes.set b pos ':';
+      blit_string b (pos + 1) v)
 
 (* --- UTF-8 validation ---------------------------------------------------- *)
 

@@ -13,13 +13,30 @@
     order in the output is exactly list order. *)
 type jfield = string * string
 
+(** JSON string escaping: ['"'], ['\\'], and every byte below 0x20
+    (['\n'], ['\t'], ['\r'] as two-byte escapes, the rest as
+    [\u00XX]); every other byte, UTF-8 included, is copied unchanged.
+    A string that needs no escaping is returned as is. *)
 val json_escape : string -> string
+
+(** [jstr s] is [s] escaped and quoted, built in one exact-size
+    allocation when [s] needs no escaping; [jobj] and [jarr] build
+    their result in one exact-size allocation. *)
 val jstr : string -> string
+
 val jint : int -> string
 val jbool : bool -> string
 val jfloat : float -> string
 val jobj : jfield list -> string
 val jarr : string list -> string
+
+(** [add_jstr buf s] appends [jstr s] to [buf]; a name that needs no
+    escaping is copied straight in, without an intermediate string. *)
+val add_jstr : Buffer.t -> string -> unit
+
+(** [add_escaped buf s] appends [json_escape s] (no quotes), for
+    composing one JSON string from several parts. *)
+val add_escaped : Buffer.t -> string -> unit
 
 (** {1 Framing} *)
 

@@ -385,6 +385,63 @@ let prop_reverse_is_language_reversal =
         (List.map (fun (u, v) -> (v, u)) (Rpq_eval.pairs rg (Regex.reverse r)))
       = Rpq_eval.pairs g r)
 
+(* A funnel: random [a]/[b] edges, and a [c] edge from every node but
+   the two sinks into a sink — many sources, two targets, so the planner
+   evaluates the [c]-ending queries backward and [pairs_bounded] must
+   transpose the reversed run's answers back into forward order. *)
+let gen_funnel =
+  QCheck.Gen.(
+    pair (int_range 1 10_000) (int_range 8 40) >|= fun (seed, n) ->
+    let rnd = Random.State.make [| seed |] in
+    let name i = Printf.sprintf "n%d" i in
+    let random_edges lbl k =
+      List.init k (fun i ->
+          ( Printf.sprintf "%s%d" lbl i,
+            name (Random.State.int rnd n),
+            lbl,
+            name (Random.State.int rnd n) ))
+    in
+    let funnel =
+      List.init (n - 2) (fun i ->
+          (Printf.sprintf "c%d" i, name (i + 2), "c", name (i mod 2)))
+    in
+    Elg.make
+      ~nodes:(List.init n name)
+      ~edges:(random_edges "a" (2 * n) @ random_edges "b" n @ funnel))
+
+let funnel_queries = [| "c"; "(a|b).c"; "a*.c"; "b.a*.c" |]
+
+let prop_backward_capped_is_sorted_subset =
+  QCheck.Test.make ~count:60
+    ~name:"backward pairs under a result cap = sorted subset of forward"
+    (QCheck.make
+       ~print:(fun (_, q, k) -> Printf.sprintf "%s cap %d" q k)
+       QCheck.Gen.(
+         triple gen_funnel (oneofa funnel_queries) (int_range 0 60)))
+    (fun (g, text, cap) ->
+      let t = Rpq_compile.create ~enabled:true () in
+      let c = Result.get_ok (Rpq_compile.compile t text) in
+      if Planner.direction_of (Stats.get g) c.Plan_cache.ast <> Planner.Backward
+      then QCheck.Test.fail_reportf "%s is not evaluated backward" text;
+      let forward =
+        Governor.value
+          (Rpq_compile.pairs_bounded ~planner:false t (Governor.unlimited ()) g c)
+      in
+      let backward ?max_results () =
+        Governor.payload ~default:[]
+          (Rpq_compile.pairs_bounded ~planner:true t
+             (Governor.make ?max_results ()) g c)
+      in
+      let capped = backward ~max_results:cap () in
+      let rec strictly_sorted = function
+        | x :: (y :: _ as rest) -> compare x y < 0 && strictly_sorted rest
+        | _ -> true
+      in
+      backward () = forward
+      && strictly_sorted capped
+      && List.length capped <= cap
+      && List.for_all (fun p -> List.mem p forward) capped)
+
 let () =
   Alcotest.run "plan"
     [
@@ -420,5 +477,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_cached_equals_cold;
           QCheck_alcotest.to_alcotest prop_plan_is_permutation;
           QCheck_alcotest.to_alcotest prop_reverse_is_language_reversal;
+          QCheck_alcotest.to_alcotest prop_backward_capped_is_sorted_subset;
         ] );
     ]

@@ -98,6 +98,69 @@ let test_utf8 () =
   | [ Wire.Bad_utf8 ] -> ()
   | _ -> Alcotest.fail "expected Bad_utf8 frame"
 
+(* The escaper [Wire] used before its single-pass renderers, kept as the
+   oracle they must match byte for byte. *)
+let oracle_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let oracle_jstr s = Printf.sprintf "\"%s\"" (oracle_escape s)
+let oracle_jarr items = "[" ^ String.concat "," items ^ "]"
+
+let oracle_jobj fields =
+  "{"
+  ^ String.concat "," (List.map (fun (k, v) -> oracle_jstr k ^ ":" ^ v) fields)
+  ^ "}"
+
+(* Byte strings weighted toward what escaping must get right: quotes,
+   backslashes, every control byte, DEL, and multi-byte UTF-8. *)
+let gen_json_string =
+  QCheck.Gen.(
+    map (String.concat "")
+    @@ list_size (int_range 0 12)
+         (frequency
+            [
+              (4, map (String.make 1) (char_range 'a' 'z'));
+              (2, oneofl [ "\""; "\\"; "\x7f"; " -> " ]);
+              (3, map (fun i -> String.make 1 (Char.chr i)) (int_range 0 0x1f));
+              (2, oneofl [ "caf\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x90\xab" ]);
+              (1, map (String.make 1) char);
+            ]))
+
+let prop_escaping_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"jstr/jarr/jobj/add_jstr = old escaper"
+    (QCheck.make
+       ~print:(fun l -> String.concat " | " (List.map String.escaped l))
+       QCheck.Gen.(list_size (int_range 0 5) gen_json_string))
+    (fun strs ->
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "prefix";
+      List.iter (Wire.add_jstr buf) strs;
+      let esc = Buffer.create 16 in
+      List.iter (Wire.add_escaped esc) strs;
+      List.for_all (fun s -> Wire.jstr s = oracle_jstr s) strs
+      && List.for_all (fun s -> Wire.json_escape s = oracle_escape s) strs
+      && Buffer.contents buf
+         = "prefix" ^ String.concat "" (List.map oracle_jstr strs)
+      && Buffer.contents esc = String.concat "" (List.map oracle_escape strs)
+      && Wire.jarr (List.map Wire.jstr strs)
+         = oracle_jarr (List.map oracle_jstr strs)
+      && Wire.jarr strs = oracle_jarr strs
+      && Wire.jobj (List.map (fun s -> (s, Wire.jstr s)) strs)
+         = oracle_jobj (List.map (fun s -> (s, oracle_jstr s)) strs))
+
 (* --- admission ------------------------------------------------------------ *)
 
 let test_admission_bounds () =
@@ -410,6 +473,106 @@ let test_stats_server_block () =
     (has_field r "clients" "1" && has_field r "draining" "false");
   close_client c
 
+(* --- bulk replies ------------------------------------------------------------ *)
+
+(* 5k nodes, 20k edges over two labels: a full [(a|b).(a|b)] has tens of
+   thousands of answers, a reply of over a megabyte. *)
+let bulk_file =
+  lazy
+    (let path = Filename.temp_file "gq_bulk" ".graph" in
+     let oc = open_out path in
+     let g =
+       Generators.random_graph ~seed:7 ~nodes:5000 ~edges:20_000
+         ~labels:[ "a"; "b" ]
+     in
+     for v = 0 to Elg.nb_nodes g - 1 do
+       Printf.fprintf oc "node %s N\n" (Elg.node_name g v)
+     done;
+     for e = 0 to Elg.nb_edges g - 1 do
+       Printf.fprintf oc "edge %s %s %s %s\n" (Elg.edge_name g e)
+         (Elg.node_name g (Elg.src g e)) (Elg.label g e)
+         (Elg.node_name g (Elg.tgt g e))
+     done;
+     close_out oc;
+     path)
+
+let bulk_queries = [ "rpq (a|b).(a|b)"; "rpq (b|a).(b|a)" ]
+
+(* Whatever [line] is answered by a fresh session under [id]. *)
+let solo_reply ~id line =
+  let sess = Session.create (Session.make_shared Session.default_config) in
+  ignore (Session.handle_safe sess ~id:1 ("load " ^ Lazy.force bulk_file));
+  match Session.handle_safe sess ~id line with
+  | Session.Reply r, _ -> r
+  | _ -> Alcotest.fail "expected a reply"
+
+(* One client pipelines two requests whose replies each dwarf a socket
+   buffer, over a unix socket, and reads only once both are answered:
+   both replies must still arrive whole, in one piece each, never
+   interleaved although two workers write them, each byte-identical to
+   the solo reply for its id.  At pool widths 1 and 4 (the serve-mode
+   width rule caps either). *)
+let test_pipelined_bulk_replies () =
+  let expected =
+    List.mapi (fun i q -> (i + 2, solo_reply ~id:(i + 2) q)) bulk_queries
+  in
+  List.iter
+    (fun (_, r) ->
+      Alcotest.(check bool) "reply exceeds a socket buffer" true
+        (String.length r > 1 lsl 20))
+    expected;
+  let saved = Option.value (Sys.getenv_opt "GQ_DOMAINS") ~default:"" in
+  Fun.protect ~finally:(fun () -> Unix.putenv "GQ_DOMAINS" saved) @@ fun () ->
+  List.iter
+    (fun domains ->
+      Unix.putenv "GQ_DOMAINS" domains;
+      let sock = Filename.temp_file "gq_serve" ".sock" in
+      let@ t =
+        with_server
+          { (base_config ~workers:2 ()) with Server.listen = Server.Unix_path sock }
+      in
+      let c = connect t in
+      (* Garbled framing must fail the test, not hang it. *)
+      Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 20.0;
+      send c ("load " ^ Lazy.force bulk_file);
+      Alcotest.(check bool) "load ok" true (has_field (recv c) "status" "\"ok\"");
+      send c (String.concat "\n" bulk_queries);
+      Unix.sleepf 0.3;
+      let got = List.map (fun _ -> recv c) bulk_queries in
+      List.iter
+        (fun (id, want) ->
+          match List.filter (fun r -> has_field r "id" (string_of_int id)) got with
+          | [ r ] ->
+              Alcotest.(check bool)
+                (Printf.sprintf "GQ_DOMAINS=%s: reply %d whole" domains id)
+                true (r = want)
+          | _ -> Alcotest.failf "GQ_DOMAINS=%s: no single reply %d" domains id)
+        expected;
+      send c "ping";
+      Alcotest.(check bool) "connection still in step" true
+        (has_field (recv c) "id" "4");
+      close_client c)
+    [ "1"; "4" ]
+
+(* Serve mode sizes the evaluation pool to the hardware threads left per
+   worker: with a worker per thread a large request stays serial, and
+   the parallelism policy says why. *)
+let test_serve_width () =
+  let workers = Domain.recommended_domain_count () in
+  let@ t = with_server (base_config ~workers ()) in
+  Alcotest.(check int) "one evaluation domain per request" 1
+    (Pool.size (Pool.default ()));
+  let c = connect t in
+  send c ("load " ^ Lazy.force bulk_file);
+  ignore (recv c);
+  send c (List.hd bulk_queries);
+  ignore (recv c);
+  send c "stats";
+  let r = recv c in
+  Alcotest.(check bool) "policy reports hardware_serial" true
+    (has_field r "width" "1" && has_field r "reason" "\"hardware_serial\"");
+  close_client c
+
 (* --- request batching: attribution and parity ----------------------------- *)
 
 (* Two pipelined clients issuing the identical cached query must get
@@ -435,11 +598,12 @@ let test_session_batching () =
   (* Reference: what a fresh solo session answers for [line] under [id]. *)
   let solo id line =
     match Session.handle_safe (Session.create shared) ~id line with
-    | Session.Reply r, _ -> r
+    | Session.Reply r, _ -> r ^ "\n"
     | _ -> Alcotest.fail "expected a reply"
   in
   let replies, spents =
-    Session.handle_batch [ (sa, 5, "rpq Transfer*"); (sb, 9, "rpq Transfer*") ]
+    Session.handle_batch (Buffer.create 16)
+      [ (sa, 5, "rpq Transfer*"); (sb, 9, "rpq Transfer*") ]
   in
   (match replies with
   | [ ra; rb ] ->
@@ -457,7 +621,7 @@ let test_session_batching () =
       (sb, 14, "rpq-from nosuch Transfer*");
     ]
   in
-  let replies, spents = Session.handle_batch lines in
+  let replies, spents = Session.handle_batch (Buffer.create 16) lines in
   Alcotest.(check int) "four replies" 4 (List.length replies);
   Alcotest.(check int) "four spent shares" 4 (List.length spents);
   List.iter2
@@ -539,6 +703,7 @@ let () =
           Alcotest.test_case "line bound" `Quick test_framer_too_long;
           Alcotest.test_case "eof tail" `Quick test_framer_eof_tail;
           Alcotest.test_case "utf8 validation" `Quick test_utf8;
+          QCheck_alcotest.to_alcotest prop_escaping_matches_oracle;
         ] );
       ( "admission",
         [
@@ -562,6 +727,9 @@ let () =
           Alcotest.test_case "stats server block" `Quick test_stats_server_block;
           Alcotest.test_case "batched replies attributed" `Quick
             test_session_batching;
+          Alcotest.test_case "pipelined bulk replies" `Quick
+            test_pipelined_bulk_replies;
+          Alcotest.test_case "serve-mode kernel width" `Quick test_serve_width;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_server_equals_session ] );
