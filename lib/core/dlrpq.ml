@@ -123,35 +123,32 @@ let search gov pg r ~start_objs ~max_len ~max_steps ~node_once ~edge_once
               | None -> ())
           | None -> ());
           (* Extend: append a fresh object. *)
-          let candidates =
-            match last with
-            | None -> start_objs
-            | Some (Path.N u) -> List.map (fun e -> Path.E e) (Elg.out_edges g u)
-            | Some (Path.E e) -> [ Path.N (Elg.tgt g e) ]
+          let extend o =
+            let len' = match o with Path.E _ -> len + 1 | Path.N _ -> len in
+            let blocked =
+              match o with
+              | Path.N v -> node_once && visited_nodes.(v)
+              | Path.E e -> edge_once && visited_edges.(e)
+            in
+            if len' <= max_len && not blocked then
+              match apply_atom pg atom o valu with
+              | Some (valu', cap) ->
+                  if Governor.tick gov then begin
+                    (match o with
+                    | Path.N v -> if node_once then visited_nodes.(v) <- true
+                    | Path.E e -> if edge_once then visited_edges.(e) <- true);
+                    go q' (Some o) (o :: rev_objs) valu'
+                      (extend_binding mu cap o) len' (steps + 1);
+                    match o with
+                    | Path.N v -> if node_once then visited_nodes.(v) <- false
+                    | Path.E e -> if edge_once then visited_edges.(e) <- false
+                  end
+              | None -> ()
           in
-          List.iter
-            (fun o ->
-              let len' = match o with Path.E _ -> len + 1 | Path.N _ -> len in
-              let blocked =
-                match o with
-                | Path.N v -> node_once && visited_nodes.(v)
-                | Path.E e -> edge_once && visited_edges.(e)
-              in
-              if len' <= max_len && not blocked then
-                match apply_atom pg atom o valu with
-                | Some (valu', cap) ->
-                    if Governor.tick gov then begin
-                      (match o with
-                      | Path.N v -> if node_once then visited_nodes.(v) <- true
-                      | Path.E e -> if edge_once then visited_edges.(e) <- true);
-                      go q' (Some o) (o :: rev_objs) valu'
-                        (extend_binding mu cap o) len' (steps + 1);
-                      match o with
-                      | Path.N v -> if node_once then visited_nodes.(v) <- false
-                      | Path.E e -> if edge_once then visited_edges.(e) <- false
-                    end
-                | None -> ())
-            candidates)
+          match last with
+          | None -> List.iter extend start_objs
+          | Some (Path.N u) -> Elg.iter_out g u (fun e -> extend (Path.E e))
+          | Some (Path.E e) -> extend (Path.N (Elg.tgt g e)))
         nfa.Nfa.delta.(q)
   in
   List.iter
@@ -268,19 +265,16 @@ let shortest_len_stats_gov gov pg r ~src ~tgt =
                 | Some (valu', _) -> relax ~front:true (q', last, valu') d
                 | None -> ());
                 (* Extend. *)
-                let candidates =
-                  match last with
-                  | Path.N u -> List.map (fun e -> Path.E e) (Elg.out_edges g u)
-                  | Path.E e -> [ Path.N (Elg.tgt g e) ]
+                let extend o =
+                  match apply_atom pg atom o valu with
+                  | Some (valu', _) ->
+                      let w = match o with Path.E _ -> 1 | Path.N _ -> 0 in
+                      relax ~front:(w = 0) (q', o, valu') (d + w)
+                  | None -> ()
                 in
-                List.iter
-                  (fun o ->
-                    match apply_atom pg atom o valu with
-                    | Some (valu', _) ->
-                        let w = match o with Path.E _ -> 1 | Path.N _ -> 0 in
-                        relax ~front:(w = 0) (q', o, valu') (d + w)
-                    | None -> ())
-                  candidates)
+                match last with
+                | Path.N u -> Elg.iter_out g u (fun e -> extend (Path.E e))
+                | Path.E e -> extend (Path.N (Elg.tgt g e)))
               nfa.Nfa.delta.(q)
         end
   done;

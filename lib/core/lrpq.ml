@@ -23,8 +23,7 @@ let search gov g nfa ~src ~max_len ~node_once ~edge_once ~emit =
   let rec go q node rev_objs binding len =
     if nfa.Nfa.finals.(q) then emit (List.rev rev_objs) binding node len;
     if len < max_len then
-      List.iter
-        (fun e ->
+      Elg.iter_out g node (fun e ->
           let w = Elg.tgt g e in
           let node_ok = (not node_once) || not visited_nodes.(w) in
           let edge_ok = (not edge_once) || not visited_edges.(e) in
@@ -48,7 +47,6 @@ let search gov g nfa ~src ~max_len ~node_once ~edge_once ~emit =
                   if edge_once then visited_edges.(e) <- false
                 end)
               nfa.Nfa.delta.(q))
-        (Elg.out_edges g node)
   in
   visited_nodes.(src) <- true;
   List.iter
@@ -77,13 +75,15 @@ let enumerate_from g r ~src ~max_len =
   Governor.value
     (enumerate_from_bounded (Governor.unlimited ()) g r ~src ~max_len)
 
+(* Each source's answers are deduplicated and sorted, and every path
+   starts at its source, so concatenating them in ascending source order
+   is already sorted and duplicate-free. *)
 let enumerate_bounded gov g r ~max_len =
   let results =
     List.concat
       (List.init (Elg.nb_nodes g) (fun src ->
            if Governor.ok gov then enumerate_from_gov gov g r ~src ~max_len
            else []))
-    |> dedup
   in
   Governor.seal gov results
 

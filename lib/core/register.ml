@@ -80,8 +80,7 @@ let eval_from_stats pg ~prop ra ~src =
     let node, state, regs = Queue.pop queue in
     incr explored;
     if ra.finals.(state) then reached.(node) <- true;
-    List.iter
-      (fun e ->
+    Elg.iter_out g node (fun e ->
         let w = Elg.tgt g e in
         List.iter
           (fun tr ->
@@ -104,7 +103,6 @@ let eval_from_stats pg ~prop ra ~src =
                      condition-free, store-free transition. *)
                   if tr.conds = [] && tr.store = None then push w tr.target regs)
           by_state.(state))
-      (Elg.out_edges g node)
   done;
   let results = ref [] in
   for v = Elg.nb_nodes g - 1 downto 0 do

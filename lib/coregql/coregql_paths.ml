@@ -120,14 +120,12 @@ let all_trails gov g =
   let visited = Array.make (max 1 (Elg.nb_edges g)) false in
   let rec go v rev_objs =
     acc := List.rev rev_objs :: !acc;
-    List.iter
-      (fun e ->
+    Elg.iter_out g v (fun e ->
         if (not visited.(e)) && Governor.tick gov then begin
           visited.(e) <- true;
           go (Elg.tgt g e) (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs);
           visited.(e) <- false
         end)
-      (Elg.out_edges g v)
   in
   for v = 0 to Elg.nb_nodes g - 1 do
     if Governor.ok gov then go v [ Path.N v ]
@@ -153,13 +151,11 @@ let all_paths_upto gov g ~max_len =
   let rec go v rev_objs len =
     acc := List.rev rev_objs :: !acc;
     if len < max_len then
-      List.iter
-        (fun e ->
+      Elg.iter_out g v (fun e ->
           if Governor.tick gov then
             go (Elg.tgt g e)
               (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs)
               (len + 1))
-        (Elg.out_edges g v)
   in
   for v = 0 to Elg.nb_nodes g - 1 do
     if Governor.ok gov then go v [ Path.N v ] 0

@@ -103,15 +103,14 @@ let rec matches_at gov pg pattern v budget : (int * int list * binding) list =
       in
       if label_ok then [ (v, [], bind_opt nvar (Single (Path.N v))) ] else []
   | Pedge { evar; elbl } ->
-      List.filter_map
-        (fun e ->
+      let acc = ref [] in
+      Elg.iter_out g v (fun e ->
           let label_ok =
             match elbl with None -> true | Some l -> String.equal (Elg.label g e) l
           in
           if label_ok && budget >= 1 && Governor.tick gov then
-            Some (Elg.tgt g e, [ e ], bind_opt evar (Single (Path.E e)))
-          else None)
-        (Elg.out_edges g v)
+            acc := (Elg.tgt g e, [ e ], bind_opt evar (Single (Path.E e))) :: !acc);
+      List.rev !acc
   | Pseq (p1, p2) ->
       List.concat_map
         (fun (v1, es1, b1) ->

@@ -124,11 +124,7 @@ let stats_after ~old_g ~(old_st : Stats.t) ~new_g ~adds ~dels =
     | None -> ()
   in
   List.iter (fun (_, _, lstr, _) -> bump label_edges lstr 1) adds;
-  List.iter
-    (fun name ->
-      let e = Elg.edge_id old_g name in
-      bump label_edges (Elg.label old_g e) (-1))
-    dels;
+  List.iter (fun e -> bump label_edges (Elg.label old_g e) (-1)) dels;
   (* Distinct sources/targets: presence of (node, label) diffs between
      the two graphs, over the touched pairs only.  Old node ids are
      valid in both graphs (nodes are never deleted). *)
@@ -142,8 +138,7 @@ let stats_after ~old_g ~(old_st : Stats.t) ~new_g ~adds ~dels =
       touch tgt_pairs (Elg.node_id new_g t) lstr)
     adds;
   List.iter
-    (fun name ->
-      let e = Elg.edge_id old_g name in
+    (fun e ->
       let lstr = Elg.label old_g e in
       touch src_pairs (Elg.src old_g e) lstr;
       touch tgt_pairs (Elg.tgt old_g e) lstr)
@@ -195,8 +190,7 @@ let stats_after ~old_g ~(old_st : Stats.t) ~new_g ~adds ~dels =
       if tv < old_n then touch1 touched_in tv)
     adds;
   List.iter
-    (fun name ->
-      let e = Elg.edge_id old_g name in
+    (fun e ->
       touch1 touched_out (Elg.src old_g e);
       touch1 touched_in (Elg.tgt old_g e))
     dels;

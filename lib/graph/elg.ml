@@ -4,14 +4,10 @@ type t = {
   nb_edges : int;
   src : int array;
   tgt : int array;
-  lbl : string array;
   node_names : string array;
   edge_names : string array;
   node_ids : (string, int) Hashtbl.t;
-  edge_ids : (string, int) Hashtbl.t;
-  out_adj : int list array;
-  in_adj : int list array;
-  (* --- interning + CSR index (built once at [make]) --------------------- *)
+  (* --- interning + CSR index --------------------------------------------- *)
   nb_labels : int;
   label_names : string array; (* sorted distinct labels; id = index *)
   label_ids : (string, int) Hashtbl.t;
@@ -33,154 +29,92 @@ type t = {
   dir_start : int array;
 }
 
-(* CSR + label partition from already-interned arrays.  Split out of
-   [build_index] so delta application and the binary loader can rebuild
-   the index with pure counting passes — no string hashing or sorting. *)
-let index_of_elbl ~nb_nodes ~nb_edges ~src ~tgt ~elbl ~nb_labels =
-  (* Plain CSR by counting sort: stable, so each node's span lists its
-     edges in declaration order, matching the legacy adjacency lists. *)
-  let csr_of key =
-    let off = Array.make (nb_nodes + 1) 0 in
-    for e = 0 to nb_edges - 1 do
-      off.(key.(e) + 1) <- off.(key.(e) + 1) + 1
-    done;
-    for v = 1 to nb_nodes do
-      off.(v) <- off.(v) + off.(v - 1)
-    done;
-    let fill = Array.copy off in
-    let csr = Array.make nb_edges 0 in
-    for e = 0 to nb_edges - 1 do
-      csr.(fill.(key.(e))) <- e;
-      fill.(key.(e)) <- fill.(key.(e)) + 1
-    done;
-    (off, csr)
-  in
-  let out_off, out_csr = csr_of src in
-  let in_off, in_csr = csr_of tgt in
-  (* Label partition: a second stable counting pass inside each node
-     span, keyed by label id.  Groups are laid out in ascending label
-     order, so a directory entry's span ends where the next entry (or
-     the node's span) begins. *)
-  let out_lbl_csr = Array.make nb_edges 0 in
-  let counts = Array.make (max 1 nb_labels) 0 in
-  let cursor = Array.make (max 1 nb_labels) 0 in
-  let dir_off = Array.make (nb_nodes + 1) 0 in
-  let rev_entries = ref [] (* (label, start), newest first *)
-  and dir_n = ref 0 in
-  for v = 0 to nb_nodes - 1 do
-    let lo = out_off.(v) and hi = out_off.(v + 1) in
-    if hi > lo then begin
-      let present = ref [] in
-      for i = lo to hi - 1 do
-        let l = elbl.(out_csr.(i)) in
-        if counts.(l) = 0 then present := l :: !present;
-        counts.(l) <- counts.(l) + 1
-      done;
-      let acc = ref lo in
-      List.iter
-        (fun l ->
-          cursor.(l) <- !acc;
-          rev_entries := (l, !acc) :: !rev_entries;
-          incr dir_n;
-          acc := !acc + counts.(l);
-          counts.(l) <- 0)
-        (List.sort compare !present);
-      for i = lo to hi - 1 do
-        let e = out_csr.(i) in
-        let l = elbl.(e) in
-        out_lbl_csr.(cursor.(l)) <- e;
-        cursor.(l) <- cursor.(l) + 1
-      done
-    end;
-    dir_off.(v + 1) <- !dir_n
-  done;
-  let dir_lbl = Array.make (max 1 !dir_n) 0
-  and dir_start = Array.make (max 1 !dir_n) 0 in
-  List.iteri
-    (fun i (l, s) ->
-      let j = !dir_n - 1 - i in
-      dir_lbl.(j) <- l;
-      dir_start.(j) <- s)
-    !rev_entries;
-  (out_off, out_csr, in_off, in_csr, out_lbl_csr, dir_off, dir_lbl, dir_start)
+(* --- index construction --------------------------------------------------- *)
 
-let build_index ~nb_nodes ~nb_edges ~src ~tgt ~lbl =
-  (* Interning: dense ids in sorted label order, so ids are stable under
-     edge reordering and [labels] stays the sorted list it always was. *)
-  let label_names =
-    Array.to_list lbl |> List.sort_uniq String.compare |> Array.of_list
+(* Counting-sort offsets: [off.(k) .. off.(k+1) - 1] is the slot range of
+   key [k] among the [Array.length key] items. *)
+let offsets nb_keys key =
+  let off = Array.make (nb_keys + 1) 0 in
+  Array.iter (fun k -> off.(k + 1) <- off.(k + 1) + 1) key;
+  for k = 1 to nb_keys do
+    off.(k) <- off.(k) + off.(k - 1)
+  done;
+  off
+
+(* Stable placement: the edges of [order] grouped by [key.(e)] into the
+   slots [off] describes, keeping [order] within a group. *)
+let place off key order =
+  let fill = Array.copy off in
+  let out = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun e ->
+      let k = key.(e) in
+      out.(fill.(k)) <- e;
+      fill.(k) <- fill.(k) + 1)
+    order;
+  out
+
+(* CSR + label partition from interned arrays: counting sorts and linear
+   passes over int arrays only — no string hashing, no per-node
+   allocation.  Grouping the label-sorted edge sequence by source gives
+   each node's span ordered by (label id, declaration order), which is
+   exactly the label partition; the directory then records where each
+   label run starts. *)
+let index_of_elbl ~nb_nodes ~src ~tgt ~elbl ~nb_labels =
+  let ids = Array.init (Array.length src) Fun.id in
+  let out_off = offsets nb_nodes src and in_off = offsets nb_nodes tgt in
+  let out_csr = place out_off src ids and in_csr = place in_off tgt ids in
+  let out_lbl_csr =
+    place out_off src (place (offsets nb_labels elbl) elbl ids)
   in
-  let nb_labels = Array.length label_names in
-  let label_ids = Hashtbl.create (max 8 nb_labels) in
-  Array.iteri (fun i a -> Hashtbl.add label_ids a i) label_names;
-  let elbl = Array.map (fun a -> Hashtbl.find label_ids a) lbl in
-  let out_off, out_csr, in_off, in_csr, out_lbl_csr, dir_off, dir_lbl, dir_start
-      =
-    index_of_elbl ~nb_nodes ~nb_edges ~src ~tgt ~elbl ~nb_labels
+  let starts_run v i =
+    i = out_off.(v) || elbl.(out_lbl_csr.(i)) <> elbl.(out_lbl_csr.(i - 1))
   in
-  ( nb_labels, label_names, label_ids, elbl, out_off, out_csr, in_off, in_csr,
-    out_lbl_csr, dir_off, dir_lbl, dir_start )
+  let dir_off = Array.make (nb_nodes + 1) 0 in
+  for v = 0 to nb_nodes - 1 do
+    let n = ref dir_off.(v) in
+    for i = out_off.(v) to out_off.(v + 1) - 1 do
+      if starts_run v i then incr n
+    done;
+    dir_off.(v + 1) <- !n
+  done;
+  let dir_lbl = Array.make (max 1 dir_off.(nb_nodes)) 0
+  and dir_start = Array.make (max 1 dir_off.(nb_nodes)) 0 in
+  let j = ref 0 in
+  for v = 0 to nb_nodes - 1 do
+    for i = out_off.(v) to out_off.(v + 1) - 1 do
+      if starts_run v i then begin
+        dir_lbl.(!j) <- elbl.(out_lbl_csr.(i));
+        dir_start.(!j) <- i;
+        incr j
+      end
+    done
+  done;
+  (out_off, out_csr, in_off, in_csr, out_lbl_csr, dir_off, dir_lbl, dir_start)
 
 (* Each graph value gets a process-unique stamp so caches keyed by graph
    can tell two loads apart even when the contents coincide. *)
 let next_stamp = Atomic.make 0
 
-let make ~nodes ~edges =
-  let nb_nodes = List.length nodes in
-  let nb_edges = List.length edges in
-  let node_names = Array.of_list nodes in
-  let node_ids = Hashtbl.create (max 8 nb_nodes) in
-  Array.iteri
-    (fun i name ->
-      if Hashtbl.mem node_ids name then
-        invalid_arg (Printf.sprintf "Elg.make: duplicate node %s" name);
-      Hashtbl.add node_ids name i)
-    node_names;
-  let src = Array.make nb_edges 0
-  and tgt = Array.make nb_edges 0
-  and lbl = Array.make nb_edges ""
-  and edge_names = Array.make nb_edges "" in
-  let edge_ids = Hashtbl.create (max 8 nb_edges) in
-  let out_adj = Array.make nb_nodes []
-  and in_adj = Array.make nb_nodes [] in
-  let node_of name =
-    match Hashtbl.find_opt node_ids name with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Elg.make: unknown node %s" name)
-  in
-  List.iteri
-    (fun e (name, s, a, t) ->
-      if Hashtbl.mem edge_ids name then
-        invalid_arg (Printf.sprintf "Elg.make: duplicate edge %s" name);
-      Hashtbl.add edge_ids name e;
-      edge_names.(e) <- name;
-      src.(e) <- node_of s;
-      tgt.(e) <- node_of t;
-      lbl.(e) <- a)
-    edges;
-  (* Adjacency lists are built in reverse edge order so that they come out
-     in declaration order, which keeps evaluation outputs deterministic. *)
-  for e = nb_edges - 1 downto 0 do
-    out_adj.(src.(e)) <- e :: out_adj.(src.(e));
-    in_adj.(tgt.(e)) <- e :: in_adj.(tgt.(e))
-  done;
-  let ( nb_labels, label_names, label_ids, elbl, out_off, out_csr, in_off,
-        in_csr, out_lbl_csr, dir_off, dir_lbl, dir_start ) =
-    build_index ~nb_nodes ~nb_edges ~src ~tgt ~lbl
+(* Assemble a graph from trusted, already-interned arrays: rebuilds only
+   the CSR index. *)
+let assemble ~node_names ~node_ids ~edge_names ~src ~tgt ~elbl ~label_names
+    ~label_ids =
+  let nb_nodes = Array.length node_names in
+  let nb_labels = Array.length label_names in
+  let out_off, out_csr, in_off, in_csr, out_lbl_csr, dir_off, dir_lbl, dir_start
+      =
+    index_of_elbl ~nb_nodes ~src ~tgt ~elbl ~nb_labels
   in
   {
     stamp = Atomic.fetch_and_add next_stamp 1;
     nb_nodes;
-    nb_edges;
+    nb_edges = Array.length edge_names;
     src;
     tgt;
-    lbl;
     node_names;
     edge_names;
     node_ids;
-    edge_ids;
-    out_adj;
-    in_adj;
     nb_labels;
     label_names;
     label_ids;
@@ -195,18 +129,86 @@ let make ~nodes ~edges =
     dir_start;
   }
 
+let ids_of names =
+  let h = Hashtbl.create (max 8 (Array.length names)) in
+  Array.iteri (fun i a -> Hashtbl.add h a i) names;
+  h
+
+let make ~nodes ~edges =
+  let node_names = Array.of_list nodes in
+  let node_ids = Hashtbl.create (max 8 (Array.length node_names)) in
+  Array.iteri
+    (fun i name ->
+      if Hashtbl.mem node_ids name then
+        invalid_arg (Printf.sprintf "Elg.make: duplicate node %s" name);
+      Hashtbl.add node_ids name i)
+    node_names;
+  let nb_edges = List.length edges in
+  let src = Array.make nb_edges 0
+  and tgt = Array.make nb_edges 0
+  and lbl = Array.make nb_edges ""
+  and edge_names = Array.make nb_edges "" in
+  (* Only to reject duplicate edge names; the graph keeps no edge-name
+     table. *)
+  let seen = Hashtbl.create (max 8 nb_edges) in
+  let node_of name =
+    match Hashtbl.find_opt node_ids name with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Elg.make: unknown node %s" name)
+  in
+  List.iteri
+    (fun e (name, s, a, t) ->
+      if Hashtbl.mem seen name then
+        invalid_arg (Printf.sprintf "Elg.make: duplicate edge %s" name);
+      Hashtbl.add seen name ();
+      edge_names.(e) <- name;
+      src.(e) <- node_of s;
+      tgt.(e) <- node_of t;
+      lbl.(e) <- a)
+    edges;
+  (* Interning: dense ids in sorted label order, so ids are stable under
+     edge reordering and [labels] stays sorted. *)
+  let label_names =
+    Array.to_list lbl |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let label_ids = ids_of label_names in
+  assemble ~node_names ~node_ids ~edge_names ~src ~tgt
+    ~elbl:(Array.map (Hashtbl.find label_ids) lbl)
+    ~label_names ~label_ids
+
 let id g = g.stamp
 let nb_nodes g = g.nb_nodes
 let nb_edges g = g.nb_edges
 let src g e = g.src.(e)
 let tgt g e = g.tgt.(e)
-let label g e = g.lbl.(e)
+let label g e = g.label_names.(g.elbl.(e))
 let node_name g n = g.node_names.(n)
 let edge_name g e = g.edge_names.(e)
 let node_id g name = Hashtbl.find g.node_ids name
-let edge_id g name = Hashtbl.find g.edge_ids name
-let out_edges g n = g.out_adj.(n)
-let in_edges g n = g.in_adj.(n)
+
+let edge_id g name =
+  let rec go e =
+    if e = g.nb_edges then raise Not_found
+    else if String.equal g.edge_names.(e) name then e
+    else go (e + 1)
+  in
+  go 0
+
+let rec mem_small want a i =
+  i < Array.length want && (String.equal want.(i) a || mem_small want a (i + 1))
+
+(* A few names are compared directly (no hashing of the m edge names);
+   a large batch, such as a coalesced WAL segment, probes a table. *)
+let find_edges g names =
+  let found = Hashtbl.create 8 in
+  let want = Array.of_list (List.sort_uniq String.compare names) in
+  let wanted =
+    if Array.length want <= 8 then fun a -> mem_small want a 0
+    else Hashtbl.mem (ids_of want)
+  in
+  if want <> [||] then
+    Array.iteri (fun e a -> if wanted a then Hashtbl.replace found a e) g.edge_names;
+  found
 
 (* --- interned labels ---------------------------------------------------- *)
 
@@ -236,6 +238,10 @@ let iter_in g n f =
   for i = g.in_off.(n) to g.in_off.(n + 1) - 1 do
     f g.in_csr.(i)
   done
+
+let span_list csr lo hi = List.init (hi - lo) (fun i -> csr.(lo + i))
+let out_edges g n = span_list g.out_csr g.out_off.(n) g.out_off.(n + 1)
+let in_edges g n = span_list g.in_csr g.in_off.(n) g.in_off.(n + 1)
 
 (* Binary search for [label] in node [n]'s directory slice. *)
 let dir_find g n label =
@@ -269,7 +275,7 @@ let iter_out_label g n ~label f =
 
 let out_label_edges g n ~label =
   let lo, hi = out_label_span g n ~label in
-  List.init (hi - lo) (fun i -> g.out_lbl_csr.(lo + i))
+  span_list g.out_lbl_csr lo hi
 
 let fold_edges f g acc =
   let acc = ref acc in
@@ -285,59 +291,13 @@ let fold_nodes f g acc =
   done;
   !acc
 
-let edges_between g u v = List.filter (fun e -> g.tgt.(e) = v) g.out_adj.(u)
-
-(* --- shared assembly from interned arrays ------------------------------- *)
-
-(* Adjacency lists in declaration order (cons'd in reverse edge order). *)
-let adj_of_arrays ~nb_nodes ~nb_edges ~src ~tgt =
-  let out_adj = Array.make (max 1 nb_nodes) []
-  and in_adj = Array.make (max 1 nb_nodes) [] in
-  for e = nb_edges - 1 downto 0 do
-    out_adj.(src.(e)) <- e :: out_adj.(src.(e));
-    in_adj.(tgt.(e)) <- e :: in_adj.(tgt.(e))
+let edges_between g u v =
+  let acc = ref [] in
+  for i = g.out_off.(u + 1) - 1 downto g.out_off.(u) do
+    let e = g.out_csr.(i) in
+    if g.tgt.(e) = v then acc := e :: !acc
   done;
-  (out_adj, in_adj)
-
-(* Assemble a graph from trusted, already-interned arrays: rebuilds only
-   the CSR index and adjacency lists (counting passes over int arrays —
-   no string hashing, no sorting). *)
-let assemble ~node_names ~node_ids ~edge_names ~edge_ids ~src ~tgt ~lbl ~elbl
-    ~label_names ~label_ids =
-  let nb_nodes = Array.length node_names in
-  let nb_edges = Array.length edge_names in
-  let nb_labels = Array.length label_names in
-  let out_adj, in_adj = adj_of_arrays ~nb_nodes ~nb_edges ~src ~tgt in
-  let out_off, out_csr, in_off, in_csr, out_lbl_csr, dir_off, dir_lbl, dir_start
-      =
-    index_of_elbl ~nb_nodes ~nb_edges ~src ~tgt ~elbl ~nb_labels
-  in
-  {
-    stamp = Atomic.fetch_and_add next_stamp 1;
-    nb_nodes;
-    nb_edges;
-    src;
-    tgt;
-    lbl;
-    node_names;
-    edge_names;
-    node_ids;
-    edge_ids;
-    out_adj;
-    in_adj;
-    nb_labels;
-    label_names;
-    label_ids;
-    elbl;
-    out_off;
-    out_csr;
-    in_off;
-    in_csr;
-    out_lbl_csr;
-    dir_off;
-    dir_lbl;
-    dir_start;
-  }
+  !acc
 
 (* --- delta application --------------------------------------------------- *)
 
@@ -350,53 +310,51 @@ type delta_summary = {
   relabeled : bool;
 }
 
-let ids_of names =
-  let h = Hashtbl.create (max 8 (Array.length names)) in
-  Array.iteri (fun i a -> Hashtbl.add h a i) names;
-  h
-
 let apply_delta g ~new_nodes ~add_edges ~del_edges ~del_nodes =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  (* Node deletions: mark dense node ids dead; survivors compact,
-     keeping their relative declaration order. *)
-  let dead_node = Array.make (max 1 g.nb_nodes) false in
-  let* nb_del_nodes =
+  (* Deletions mark dense ids dead; survivors compact, keeping their
+     relative declaration order. *)
+  let mark what names n ids =
+    let dead = Array.make (max 1 n) false in
     let rec go k = function
-      | [] -> Ok k
-      | name :: rest -> (
-          match Hashtbl.find_opt g.node_ids name with
-          | None -> err "unknown node %s" name
-          | Some v ->
-              if dead_node.(v) then err "duplicate delete of node %s" name
-              else begin
-                dead_node.(v) <- true;
-                go (k + 1) rest
-              end)
+      | [] -> Ok (dead, k)
+      | i :: rest ->
+          if i < 0 || i >= n then err "unknown %s id %d" what i
+          else if dead.(i) then err "duplicate delete of %s %s" what names.(i)
+          else begin
+            dead.(i) <- true;
+            go (k + 1) rest
+          end
     in
-    go 0 del_nodes
+    go 0 ids
   in
+  let* dead_node, nb_del_nodes = mark "node" g.node_names g.nb_nodes del_nodes in
   (* Nodes: existing arrays and the name table are shared verbatim when
      the delta neither declares nor deletes any; with deletions the
      survivors compact and every old id is remapped. *)
   let nb_new = List.length new_nodes in
+  let add_new_nodes names ids first =
+    let rec go i = function
+      | [] -> Ok ()
+      | name :: rest ->
+          if Hashtbl.mem ids name then err "duplicate node %s" name
+          else begin
+            names.(i) <- name;
+            Hashtbl.add ids name i;
+            go (i + 1) rest
+          end
+    in
+    go first new_nodes
+  in
   let* node_names, node_ids, node_remap =
     if nb_del_nodes = 0 && nb_new = 0 then Ok (g.node_names, g.node_ids, None)
     else if nb_del_nodes = 0 then begin
       let names = Array.make (g.nb_nodes + nb_new) "" in
       Array.blit g.node_names 0 names 0 g.nb_nodes;
       let ids = Hashtbl.copy g.node_ids in
-      let rec go i = function
-        | [] -> Ok (names, ids, None)
-        | name :: rest ->
-            if Hashtbl.mem ids name then err "duplicate node %s" name
-            else begin
-              names.(i) <- name;
-              Hashtbl.add ids name i;
-              go (i + 1) rest
-            end
-      in
-      go g.nb_nodes new_nodes
+      let* () = add_new_nodes names ids g.nb_nodes in
+      Ok (names, ids, None)
     end
     else begin
       let nb_nodes' = g.nb_nodes - nb_del_nodes + nb_new in
@@ -414,36 +372,11 @@ let apply_delta g ~new_nodes ~add_edges ~del_edges ~del_nodes =
       for v = 0 to !k - 1 do
         Hashtbl.add ids names.(v) v
       done;
-      let rec go i = function
-        | [] -> Ok (names, ids, Some remap)
-        | name :: rest ->
-            if Hashtbl.mem ids name then err "duplicate node %s" name
-            else begin
-              names.(i) <- name;
-              Hashtbl.add ids name i;
-              go (i + 1) rest
-            end
-      in
-      go !k new_nodes
+      let* () = add_new_nodes names ids !k in
+      Ok (names, ids, Some remap)
     end
   in
-  (* Deletions: mark dense edge ids dead; ids of survivors compact. *)
-  let dead = Array.make (max 1 g.nb_edges) false in
-  let* nb_del =
-    let rec go k = function
-      | [] -> Ok k
-      | name :: rest -> (
-          match Hashtbl.find_opt g.edge_ids name with
-          | None -> err "unknown edge %s" name
-          | Some e ->
-              if dead.(e) then err "duplicate delete of edge %s" name
-              else begin
-                dead.(e) <- true;
-                go (k + 1) rest
-              end)
-    in
-    go 0 del_edges
-  in
+  let* dead, nb_del = mark "edge" g.edge_names g.nb_edges del_edges in
   (* A deleted node takes its incident edges with it; the caller is
      expected to list them in [del_edges] (the Pg layer does), so a
      survivor touching a dead node is an internal-invariant breach. *)
@@ -468,126 +401,88 @@ let apply_delta g ~new_nodes ~add_edges ~del_edges ~del_nodes =
   let nb_edges = g.nb_edges - nb_del + nb_add in
   let src = Array.make nb_edges 0
   and tgt = Array.make nb_edges 0
-  and lbl = Array.make nb_edges ""
+  and elbl = Array.make nb_edges 0
   and edge_names = Array.make nb_edges "" in
   (* Survivors keep their relative order (matching a from-scratch build
-     over the surviving declaration sequence). *)
+     over the surviving declaration sequence) and, for now, their old
+     label ids. *)
   let k = ref 0 in
   for e = 0 to g.nb_edges - 1 do
     if not dead.(e) then begin
       src.(!k) <- remap_node g.src.(e);
       tgt.(!k) <- remap_node g.tgt.(e);
-      lbl.(!k) <- g.lbl.(e);
+      elbl.(!k) <- g.elbl.(e);
       edge_names.(!k) <- g.edge_names.(e);
       incr k
     end
   done;
-  (* With no deletions the edge-name table is an O(m) shallow copy; any
-     deletion renumbers the dense ids, forcing a rehash of survivors. *)
-  let edge_ids =
-    if nb_del = 0 then Hashtbl.copy g.edge_ids
-    else begin
-      let h = Hashtbl.create (max 8 nb_edges) in
-      for e = 0 to !k - 1 do
-        Hashtbl.add h edge_names.(e) e
-      done;
-      h
-    end
-  in
+  (* Added edges take old label ids too; an edge whose label is not
+     interned yet gets [-1] and is listed in [fresh]. *)
+  let fresh = ref [] in
   let* () =
     let rec go i = function
       | [] -> Ok ()
       | (name, s, a, t) :: rest -> (
-          if Hashtbl.mem edge_ids name then err "duplicate edge %s" name
-          else
-            match
-              (Hashtbl.find_opt node_ids s, Hashtbl.find_opt node_ids t)
-            with
-            | None, _ -> err "unknown node %s" s
-            | _, None -> err "unknown node %s" t
-            | Some si, Some ti ->
-                Hashtbl.add edge_ids name i;
-                edge_names.(i) <- name;
-                src.(i) <- si;
-                tgt.(i) <- ti;
-                lbl.(i) <- a;
-                go (i + 1) rest)
+          match (Hashtbl.find_opt node_ids s, Hashtbl.find_opt node_ids t) with
+          | None, _ -> err "unknown node %s" s
+          | _, None -> err "unknown node %s" t
+          | Some si, Some ti ->
+              edge_names.(i) <- name;
+              src.(i) <- si;
+              tgt.(i) <- ti;
+              (elbl.(i) <-
+                 match Hashtbl.find_opt g.label_ids a with
+                 | Some l -> l
+                 | None ->
+                     fresh := (i, a) :: !fresh;
+                     -1);
+              go (i + 1) rest)
     in
     go !k add_edges
   in
-  (* Interning: the label table is shared when every added label is
-     already interned and no deletion emptied a label; otherwise the
-     sorted table is rebuilt and survivor ids remapped (a new or vanished
-     label shifts every id after it in sort order). *)
-  let old_cnt = Array.make (max 1 g.nb_labels) 0 in
-  for e = 0 to g.nb_edges - 1 do
-    if not dead.(e) then old_cnt.(g.elbl.(e)) <- old_cnt.(g.elbl.(e)) + 1
-  done;
-  (* [old_cnt] now counts surviving edges per old label id. *)
-  let fresh_label =
-    List.exists (fun (_, _, a, _) -> not (Hashtbl.mem g.label_ids a)) add_edges
-  in
+  (* Interning: the label table is shared when no label is fresh and
+     none was emptied; otherwise the sorted table is rebuilt and every
+     edge's id is mapped through an old-id -> new-id int array (a new or
+     vanished label shifts every id after it in sort order). *)
+  let cnt = Array.make (max 1 g.nb_labels) 0 in
+  Array.iter (fun l -> if l >= 0 then cnt.(l) <- cnt.(l) + 1) elbl;
   let emptied = ref false in
-  List.iter
-    (fun name ->
-      let e = Hashtbl.find g.edge_ids name in
-      let l = g.elbl.(e) in
-      if
-        old_cnt.(l) = 0
-        && not (List.exists (fun (_, _, a, _) -> a = g.lbl.(e)) add_edges)
-      then emptied := true)
-    del_edges;
-  let relabeled = fresh_label || !emptied in
+  for l = 0 to g.nb_labels - 1 do
+    if cnt.(l) = 0 then emptied := true
+  done;
+  let relabeled = !fresh <> [] || !emptied in
   let label_names, label_ids =
     if not relabeled then (g.label_names, g.label_ids)
     else begin
       let survivors = ref [] in
       for l = g.nb_labels - 1 downto 0 do
-        if old_cnt.(l) > 0 then survivors := g.label_names.(l) :: !survivors
+        if cnt.(l) > 0 then survivors := g.label_names.(l) :: !survivors
       done;
       let names =
-        List.rev_append
-          (List.rev_map (fun (_, _, a, _) -> a) add_edges)
-          !survivors
+        List.rev_append (List.rev_map snd !fresh) !survivors
         |> List.sort_uniq String.compare
         |> Array.of_list
       in
-      (names, ids_of names)
-    end
-  in
-  let elbl =
-    if not relabeled && nb_del = 0 && nb_add = 0 then g.elbl
-    else begin
-      let a = Array.make nb_edges 0 in
-      if relabeled then
-        for e = 0 to nb_edges - 1 do
-          a.(e) <- Hashtbl.find label_ids lbl.(e)
-        done
-      else begin
-        (* survivors keep their old ids; only added edges need lookup *)
-        let k = ref 0 in
-        for e = 0 to g.nb_edges - 1 do
-          if not dead.(e) then begin
-            a.(!k) <- g.elbl.(e);
-            incr k
-          end
-        done;
-        for e = !k to nb_edges - 1 do
-          a.(e) <- Hashtbl.find label_ids lbl.(e)
-        done
-      end;
-      a
+      let ids = ids_of names in
+      let remap =
+        Array.map
+          (fun a -> Option.value (Hashtbl.find_opt ids a) ~default:(-1))
+          g.label_names
+      in
+      Array.iteri (fun e l -> if l >= 0 then elbl.(e) <- remap.(l)) elbl;
+      List.iter (fun (i, a) -> elbl.(i) <- Hashtbl.find ids a) !fresh;
+      (names, ids)
     end
   in
   let touched_labels =
     List.rev_append
       (List.rev_map (fun (_, _, a, _) -> a) add_edges)
-      (List.map (fun name -> g.lbl.(Hashtbl.find g.edge_ids name)) del_edges)
+      (List.map (fun e -> g.label_names.(g.elbl.(e))) del_edges)
     |> List.sort_uniq String.compare
   in
   let g' =
-    assemble ~node_names ~node_ids ~edge_names ~edge_ids ~src ~tgt ~lbl ~elbl
-      ~label_names ~label_ids
+    assemble ~node_names ~node_ids ~edge_names ~src ~tgt ~elbl ~label_names
+      ~label_ids
   in
   Ok
     ( g',
@@ -656,23 +551,23 @@ let of_pack_res p =
         if Hashtbl.mem node_ids a then bad "duplicate node %s" a
         else Hashtbl.add node_ids a i)
       p.pk_nodes;
-    let edge_ids = Hashtbl.create (max 8 nb_edges) in
-    Array.iteri
-      (fun i a ->
-        if Hashtbl.mem edge_ids a then bad "duplicate edge %s" a
-        else Hashtbl.add edge_ids a i)
+    (* Only to reject duplicate edge names. *)
+    let seen = Hashtbl.create (max 8 nb_edges) in
+    Array.iter
+      (fun a ->
+        if Hashtbl.mem seen a then bad "duplicate edge %s" a
+        else Hashtbl.add seen a ())
       p.pk_edges;
-    let lbl = Array.map (fun l -> p.pk_labels.(l)) p.pk_elbl in
     Ok
       (assemble ~node_names:p.pk_nodes ~node_ids ~edge_names:p.pk_edges
-         ~edge_ids ~src:p.pk_src ~tgt:p.pk_tgt ~lbl ~elbl:p.pk_elbl
-         ~label_names:p.pk_labels ~label_ids:(ids_of p.pk_labels))
+         ~src:p.pk_src ~tgt:p.pk_tgt ~elbl:p.pk_elbl ~label_names:p.pk_labels
+         ~label_ids:(ids_of p.pk_labels))
   with Bad s -> Error s
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph (%d nodes, %d edges)@," g.nb_nodes g.nb_edges;
   for e = 0 to g.nb_edges - 1 do
     Format.fprintf fmt "%s: %s -[%s]-> %s@," g.edge_names.(e)
-      g.node_names.(g.src.(e)) g.lbl.(e) g.node_names.(g.tgt.(e))
+      g.node_names.(g.src.(e)) (label g e) g.node_names.(g.tgt.(e))
   done;
   Format.fprintf fmt "@]"

@@ -30,15 +30,24 @@ val label : t -> int -> string
 val node_name : t -> int -> string
 val edge_name : t -> int -> string
 
-(** Raise [Not_found] when no node/edge has that name. *)
+(** Raise [Not_found] when no node/edge has that name.  [node_id] is a
+    hash lookup. *)
 val node_id : t -> string -> int
 
+(** [edge_id] scans the edge names: O(m) per call, for tools and tests
+    only.  The graph keeps no edge-name table; resolve many names at
+    once with {!find_edges}. *)
 val edge_id : t -> string -> int
 
+(** [find_edges g names] resolves every name of [names] in one O(m)
+    pass over the edge names: the result maps each name that names an
+    edge of [g] to its dense id (absent names are absent). *)
+val find_edges : t -> string list -> (string, int) Hashtbl.t
+
 (** Outgoing / incoming edge identifiers of a node, in declaration
-    order.  These lists are materialized once at {!make}; the CSR
-    accessors below expose the same adjacency without per-call
-    allocation. *)
+    order.  Each call builds a fresh list from the node's CSR span
+    (O(degree) allocation); evaluation code uses {!iter_out} /
+    {!iter_in}, which allocate nothing. *)
 val out_edges : t -> int -> int list
 
 val in_edges : t -> int -> int list
@@ -65,7 +74,8 @@ val edge_label_id : t -> int -> int
 
 (** {1 CSR adjacency}
 
-    Immutable compressed-sparse-row adjacency, built once at {!make}.
+    Immutable compressed-sparse-row adjacency, built with each graph
+    value ({!make}, {!apply_delta}, {!of_pack_res}).
     Node [n]'s outgoing edges occupy the half-open span {!out_span}
     in a flat int array accessed via {!csr_out_edge}; within a span,
     edges appear in declaration order, matching {!out_edges}.  A second
@@ -104,7 +114,8 @@ val out_label_edges : t -> int -> label:int -> int list
 val fold_edges : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
-(** [edges_between g u v] lists edges with source [u] and target [v]. *)
+(** [edges_between g u v] lists edges with source [u] and target [v], in
+    declaration order (a scan of [u]'s outgoing span). *)
 val edges_between : t -> int -> int -> int list
 
 val pp : Format.formatter -> t -> unit
@@ -114,7 +125,10 @@ val pp : Format.formatter -> t -> unit
     [apply_delta] builds a new graph from an existing one plus a batch
     of edge insertions/deletions, without reparsing or re-interning:
     node arrays and the label table are shared when untouched, and the
-    CSR index is rebuilt with pure counting passes over int arrays.  The
+    next snapshot is published with O(n + m) passes over int arrays
+    only — survivors are copied by dense id, label ids are remapped
+    through an int array when the label table changes, and the CSR
+    index is rebuilt by counting sorts.  No edge name is hashed.  The
     result is indistinguishable from a from-scratch {!make} over the
     surviving declaration sequence (same dense ids, same interned label
     order, same CSR spans) — the model-based update suite pins this. *)
@@ -133,19 +147,23 @@ type delta_summary = {
 
 (** [apply_delta g ~new_nodes ~add_edges ~del_edges ~del_nodes] —
     [new_nodes] are appended after the surviving nodes in list order;
-    [del_nodes] names existing nodes (survivors keep their relative
-    declaration order and compact to dense ids — deleting a node
-    *requires* every incident edge to appear in [del_edges], which the
-    Pg layer arranges); [del_edges] names existing edges (survivors
-    compact likewise); [add_edges] append after the surviving edges.
-    Total: returns [Error msg] on unknown/duplicate names, leaving [g]
-    untouched. *)
+    [del_nodes] are dense ids of existing nodes (survivors keep their
+    relative declaration order and compact to dense ids — deleting a
+    node *requires* every incident edge to appear in [del_edges], which
+    the Pg layer arranges); [del_edges] are dense ids of existing edges
+    (survivors compact likewise); [add_edges] append after the
+    surviving edges.  The names of [add_edges] must be distinct and
+    must not name a surviving edge: callers resolve names first with
+    {!find_edges} (as {!Pg.apply_delta_res} does), and this function
+    does not check them again.  Returns [Error msg] on out-of-range or
+    repeated ids, duplicate new nodes and unknown endpoints, leaving
+    [g] untouched. *)
 val apply_delta :
   t ->
   new_nodes:string list ->
   add_edges:(string * string * string * string) list ->
-  del_edges:string list ->
-  del_nodes:string list ->
+  del_edges:int list ->
+  del_nodes:int list ->
   (t * delta_summary, string) result
 
 (** {1 Binary pack}
@@ -153,8 +171,8 @@ val apply_delta :
     The primal arrays of a graph, exactly what the binary snapshot
     format persists.  [of_pack_res] validates structure totally
     (lengths, id ranges, sorted label table, duplicate names) and
-    rebuilds the index and name tables; the pack arrays are adopted,
-    not copied. *)
+    rebuilds the index and the node-name table; the pack arrays are
+    adopted, not copied. *)
 
 type pack = {
   pk_nodes : string array;

@@ -11,20 +11,14 @@ let make ~nodes ~edges =
       ~nodes:(List.map (fun (name, _, _) -> name) nodes)
       ~edges:(List.map (fun (name, s, a, t, _) -> (name, s, a, t)) edges)
   in
-  let node_lbl = Array.make (Elg.nb_nodes elg) "" in
-  let node_props = Array.make (Elg.nb_nodes elg) [] in
-  List.iter
-    (fun (name, lbl, props) ->
-      let i = Elg.node_id elg name in
-      node_lbl.(i) <- lbl;
-      node_props.(i) <- props)
-    nodes;
-  let edge_props = Array.make (Elg.nb_edges elg) [] in
-  List.iter
-    (fun (name, _, _, _, props) ->
-      edge_props.(Elg.edge_id elg name) <- props)
-    edges;
-  { elg; node_lbl; node_props; edge_props }
+  (* Dense ids follow declaration order, so the property arrays fill by
+     position. *)
+  {
+    elg;
+    node_lbl = Array.of_list (List.map (fun (_, lbl, _) -> lbl) nodes);
+    node_props = Array.of_list (List.map (fun (_, _, props) -> props) nodes);
+    edge_props = Array.of_list (List.map (fun (_, _, _, _, props) -> props) edges);
+  }
 
 let elg g = g.elg
 let node_label g n = g.node_lbl.(n)
@@ -76,7 +70,7 @@ type applied = {
   ap_pg : t;
   ap_summary : Elg.delta_summary;
   ap_adds : (string * string * string * string) list;
-  ap_dels : string list;
+  ap_dels : int list;
 }
 
 let apply_delta_res g ops =
@@ -90,24 +84,38 @@ let apply_delta_res g ops =
        [deln v] drops the node together with every incident edge that is
        alive at that point — pending adds touching it are cancelled, and
        its name is freed for a later implicit re-creation. *)
-    let in_base name =
-      match Elg.edge_id elg0 name with
-      | _ -> true
-      | exception Not_found -> false
+    (* One pass over the base edge names resolves every edge name the
+       batch mentions; from here on base edges are dense ids. *)
+    let base =
+      Elg.find_edges elg0
+        (List.filter_map
+           (function
+             | Add_edge { name; _ } | Del_edge name -> Some name
+             | Del_node _ -> None)
+           ops)
     in
     let node_in_base name =
       match Elg.node_id elg0 name with
       | _ -> true
       | exception Not_found -> false
     in
-    let deleted = Hashtbl.create 8 in
-    let dels = ref [] in
+    let deleted = Hashtbl.create 8 (* base edge ids *) in
+    let dels = ref [] (* base edge ids, newest first *) in
+    let live_base name =
+      match Hashtbl.find_opt base name with
+      | Some e when not (Hashtbl.mem deleted e) -> Some e
+      | _ -> None
+    in
+    let delete e =
+      Hashtbl.add deleted e ();
+      dels := e :: !dels
+    in
     let pending = Hashtbl.create 8 in
     let adds = ref [] (* newest first *) in
     let new_node_set = Hashtbl.create 8 in
     let new_nodes = ref [] (* newest first *) in
     let deleted_nodes = Hashtbl.create 8 in
-    let del_nodes = ref [] (* newest first *) in
+    let del_nodes = ref [] (* base node ids, newest first *) in
     let note_node name =
       if
         not
@@ -134,10 +142,8 @@ let apply_delta_res g ops =
     List.iter
       (function
         | Add_edge { name; src; label; tgt; props } ->
-            if
-              (in_base name && not (Hashtbl.mem deleted name))
-              || Hashtbl.mem pending name
-            then bad "duplicate edge %s" name;
+            if live_base name <> None || Hashtbl.mem pending name then
+              bad "duplicate edge %s" name;
             note_node src;
             note_node tgt;
             Hashtbl.add pending name ();
@@ -150,16 +156,15 @@ let apply_delta_res g ops =
                 a_props = props;
               }
               :: !adds
-        | Del_edge name ->
+        | Del_edge name -> (
             if Hashtbl.mem pending name then begin
               Hashtbl.remove pending name;
               adds := List.filter (fun a -> a.a_name <> name) !adds
             end
-            else if in_base name && not (Hashtbl.mem deleted name) then begin
-              Hashtbl.add deleted name ();
-              dels := name :: !dels
-            end
-            else bad "unknown edge %s" name
+            else
+              match live_base name with
+              | Some e -> delete e
+              | None -> bad "unknown edge %s" name)
         | Del_node name ->
             if Hashtbl.mem new_node_set name then begin
               (* A node this very batch introduced: cancel it and its
@@ -170,30 +175,24 @@ let apply_delta_res g ops =
             end
             else if node_in_base name && not (Hashtbl.mem deleted_nodes name)
             then begin
+              let v = Elg.node_id elg0 name in
               Hashtbl.add deleted_nodes name ();
-              del_nodes := name :: !del_nodes;
+              del_nodes := v :: !del_nodes;
               cancel_incident name;
               (* Surviving base edges incident to the node die with it. *)
-              let v = Elg.node_id elg0 name in
-              let bury e =
-                let en = Elg.edge_name elg0 e in
-                if not (Hashtbl.mem deleted en) then begin
-                  Hashtbl.add deleted en ();
-                  dels := en :: !dels
-                end
-              in
-              List.iter bury (Elg.out_edges elg0 v);
-              List.iter bury (Elg.in_edges elg0 v)
+              let bury e = if not (Hashtbl.mem deleted e) then delete e in
+              Elg.iter_out elg0 v bury;
+              Elg.iter_in elg0 v bury
             end
             else bad "unknown node %s" name)
       ops;
     let add_edges =
       List.rev_map (fun a -> (a.a_name, a.a_src, a.a_label, a.a_tgt)) !adds
     in
+    let dels = List.rev !dels in
     match
-      Elg.apply_delta elg0 ~new_nodes:(List.rev !new_nodes)
-        ~add_edges ~del_edges:(List.rev !dels)
-        ~del_nodes:(List.rev !del_nodes)
+      Elg.apply_delta elg0 ~new_nodes:(List.rev !new_nodes) ~add_edges
+        ~del_edges:dels ~del_nodes:(List.rev !del_nodes)
     with
     | Error e -> Error e
     | Ok (elg, summary) ->
@@ -208,9 +207,7 @@ let apply_delta_res g ops =
             let n = Elg.nb_nodes elg in
             let lbls = Array.make n "" and props = Array.make n [] in
             let dead_node = Array.make (max 1 (Elg.nb_nodes elg0)) false in
-            List.iter
-              (fun name -> dead_node.(Elg.node_id elg0 name) <- true)
-              !del_nodes;
+            List.iter (fun v -> dead_node.(v) <- true) !del_nodes;
             let k = ref 0 in
             for v = 0 to Elg.nb_nodes elg0 - 1 do
               if not dead_node.(v) then begin
@@ -224,9 +221,7 @@ let apply_delta_res g ops =
         in
         let edge_props = Array.make (Elg.nb_edges elg) [] in
         let dead = Array.make (max 1 (Elg.nb_edges elg0)) false in
-        List.iter
-          (fun name -> dead.(Elg.edge_id elg0 name) <- true)
-          !dels;
+        List.iter (fun e -> dead.(e) <- true) dels;
         let k = ref 0 in
         for e = 0 to Elg.nb_edges elg0 - 1 do
           if not dead.(e) then begin
@@ -244,7 +239,7 @@ let apply_delta_res g ops =
             ap_pg = { elg; node_lbl; node_props; edge_props };
             ap_summary = summary;
             ap_adds = add_edges;
-            ap_dels = List.rev !dels;
+            ap_dels = dels;
           }
   with Bad s -> Error s
 

@@ -68,13 +68,17 @@ type delta_op =
 (** Result of a delta: the new graph, the {!Elg.delta_summary}, and the
     *net* operations that took effect after sequential normalization
     ([ap_adds] in op order as [(name, src, label, tgt)]; [ap_dels] the
-    base edge names removed) — what incremental statistics maintenance
-    and cache invalidation key on. *)
+    dense ids, in the input graph, of the base edges removed) — what
+    incremental statistics maintenance keys on.
+
+    Every edge name the batch mentions is resolved in one
+    {!Elg.find_edges} pass, so a batch costs O(m + ops) name work
+    however many ops it carries. *)
 type applied = {
   ap_pg : t;
   ap_summary : Elg.delta_summary;
   ap_adds : (string * string * string * string) list;
-  ap_dels : string list;
+  ap_dels : int list;
 }
 
 val apply_delta_res : t -> delta_op list -> (applied, string) result

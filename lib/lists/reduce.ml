@@ -42,14 +42,12 @@ let trails_between pg ~src ~tgt =
   let visited = Array.make (max 1 (Elg.nb_edges g)) false in
   let rec go v rev_objs =
     if v = tgt then acc := List.rev rev_objs :: !acc;
-    List.iter
-      (fun e ->
+    Elg.iter_out g v (fun e ->
         if not visited.(e) then begin
           visited.(e) <- true;
           go (Elg.tgt g e) (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs);
           visited.(e) <- false
         end)
-      (Elg.out_edges g v)
   in
   go src [ Path.N src ];
   List.rev_map (Path.of_objs_exn g) !acc

@@ -46,10 +46,8 @@ let paths_between g ~max_len ~src ~tgt =
   let rec go v rev_objs len =
     if v = tgt then acc := List.rev rev_objs :: !acc;
     if len < max_len then
-      List.iter
-        (fun e ->
+      Elg.iter_out g v (fun e ->
           go (Elg.tgt g e) (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs) (len + 1))
-        (Elg.out_edges g v)
   in
   go src [ Path.N src ] 0;
   List.rev_map (Path.of_objs_exn g) !acc

@@ -181,15 +181,13 @@ let simple_paths g ~src ~tgt =
   let rec go v rev_nodes =
     if v = tgt then acc := Array.of_list (List.rev (v :: rev_nodes)) :: !acc
     else
-      List.iter
-        (fun e ->
+      Elg.iter_out g v (fun e ->
           let w = Elg.tgt g e in
           if not visited.(w) then begin
             visited.(w) <- true;
             go w (v :: rev_nodes);
             visited.(w) <- false
           end)
-        (Elg.out_edges g v)
   in
   visited.(src) <- true;
   go src [];

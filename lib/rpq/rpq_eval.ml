@@ -554,9 +554,8 @@ let pairs_naive_gov gov g r ~max_len =
       if Regex.matches_word ~matches r (List.rev word) then
         results := (u, v) :: !results;
       if len < max_len then
-        List.iter
-          (fun e -> extend u (Elg.tgt g e) (Elg.label g e :: word) (len + 1))
-          (Elg.out_edges g v)
+        Elg.iter_out g v (fun e ->
+            extend u (Elg.tgt g e) (Elg.label g e :: word) (len + 1))
     end
   in
   Elg.fold_nodes (fun u () -> extend u u [] 0) g ();

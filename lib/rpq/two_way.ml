@@ -31,17 +31,16 @@ let parse src =
       | Sym.Any | Sym.Not _ -> Fwd sym)
     one_way
 
-(* Product walk with both adjacency directions. *)
-let step g atom v =
+(* Product walk with both adjacency directions: [f w] for every node [w]
+   one [atom] step away from [v]. *)
+let step g atom v f =
   match atom with
   | Fwd sym ->
-      List.filter_map
-        (fun e -> if Sym.matches sym (Elg.label g e) then Some (Elg.tgt g e) else None)
-        (Elg.out_edges g v)
+      Elg.iter_out g v (fun e ->
+          if Sym.matches sym (Elg.label g e) then f (Elg.tgt g e))
   | Bwd sym ->
-      List.filter_map
-        (fun e -> if Sym.matches sym (Elg.label g e) then Some (Elg.src g e) else None)
-        (Elg.in_edges g v)
+      Elg.iter_in g v (fun e ->
+          if Sym.matches sym (Elg.label g e) then f (Elg.src g e))
 
 let from_source g r ~src =
   let nfa = Nfa.of_regex r in
@@ -57,13 +56,11 @@ let from_source g r ~src =
     let v, q = Queue.pop queue in
     List.iter
       (fun (atom, q') ->
-        List.iter
-          (fun w ->
+        step g atom v (fun w ->
             if not seen.((w * nq) + q') then begin
               seen.((w * nq) + q') <- true;
               Queue.add (w, q') queue
-            end)
-          (step g atom v))
+            end))
       nfa.Nfa.delta.(q)
   done;
   let acc = ref [] in
@@ -95,14 +92,10 @@ let pairs_naive g r ~max_len =
     if Regex.matches_word ~matches r (List.rev word) then
       results := (u, v) :: !results;
     if len < max_len then begin
-      List.iter
-        (fun e ->
-          extend u (Elg.tgt g e) ((`F, Elg.label g e) :: word) (len + 1))
-        (Elg.out_edges g v);
-      List.iter
-        (fun e ->
+      Elg.iter_out g v (fun e ->
+          extend u (Elg.tgt g e) ((`F, Elg.label g e) :: word) (len + 1));
+      Elg.iter_in g v (fun e ->
           extend u (Elg.src g e) ((`B, Elg.label g e) :: word) (len + 1))
-        (Elg.in_edges g v)
     end
   in
   Elg.fold_nodes (fun u () -> extend u u [] 0) g ();

@@ -145,9 +145,18 @@ type client = {
   bucket : bucket option;
   mutable input_done : bool;  (* I/O domain only: EOF / read error *)
   mutable next_id : int;  (* I/O domain only *)
+  olock : Mutex.t;  (* guards [running], [barrier_out] and [held] *)
+  mutable running : int;  (* requests queued or executing *)
+  mutable barrier_out : bool;  (* one of them changes state *)
+  held : request Queue.t;  (* waiting behind a barrier, arrival order *)
 }
 
-type request = { rc : client; rid : int; rline : string }
+and request = {
+  rc : client;
+  rid : int;
+  rline : string;
+  rbarrier : bool;  (* [Session.changes_state] *)
+}
 
 type state = {
   cfg : config;
@@ -297,6 +306,47 @@ let shed st c ~id ~cmd ~reason ~retry_after_ms =
   Obs.incr st.obs ("server.shed." ^ reason);
   send st c (Session.shed_reply ~id ~cmd ~reason ~retry_after_ms ^ "\n")
 
+(* --- per-client ordering ---------------------------------------------------- *)
+
+(* A request that changes state is a per-client barrier: it starts only
+   once every earlier request of its client has replied, and the
+   client's later requests start only once it has replied.  Reads
+   between barriers run concurrently.  A request that may not start yet
+   is held on its client, never queued, so [Admission.take_matching]
+   cannot batch it ahead of the barrier; the worker that finishes the
+   request blocking it runs it next. *)
+let can_start c r = (not c.barrier_out) && ((not r.rbarrier) || c.running = 0)
+
+let mark_running c r =
+  c.running <- c.running + 1;
+  if r.rbarrier then c.barrier_out <- true
+
+(* I/O domain: [true] when [r] starts now (counted as running), [false]
+   when it is held. *)
+let start_or_hold c r =
+  Mutex.lock c.olock;
+  let start = Queue.is_empty c.held && can_start c r in
+  if start then mark_running c r else Queue.add r c.held;
+  Mutex.unlock c.olock;
+  start
+
+(* [r] has replied (or was never queued): the client's next held
+   request if it may start now, already counted as running. *)
+let release c r =
+  Mutex.lock c.olock;
+  c.running <- c.running - 1;
+  if r.rbarrier then c.barrier_out <- false;
+  let next =
+    match Queue.peek_opt c.held with
+    | Some h when can_start c h ->
+        ignore (Queue.pop c.held);
+        mark_running c h;
+        Some h
+    | _ -> None
+  in
+  Mutex.unlock c.olock;
+  next
+
 (* --- worker domains ------------------------------------------------------- *)
 
 (* One batch fills at most one bitset word: a leader plus 62 stolen
@@ -314,7 +364,7 @@ let worker st () =
     ignore (Atomic.fetch_and_add c.inflight (-1));
     gauge_inflight (-1)
   in
-  let solo c rid rline =
+  let solo { rc = c; rid; rline; _ } =
     let action, spent = Session.handle_line c.session buf ~id:rid rline in
     (match c.bucket with
     | Some b when spent > 0 -> bucket_charge b spent
@@ -326,15 +376,27 @@ let worker st () =
         send st c s;
         Atomic.set c.closing true
   in
-  let batched lead rid rline key =
+  let rec serve r =
+    (if Atomic.get r.rc.alive then
+       match Session.batch_key r.rc.session r.rline with
+       | Some key -> batched r key
+       | None -> solo r);
+    complete r
+  and complete r =
+    (* The next held request is taken before [r] stops counting as in
+       flight, so its client is never reaped in between. *)
+    let next = release r.rc r in
+    finish r.rc;
+    Option.iter serve next
+  and batched lead key =
     match
       Admission.take_matching st.queue ~limit:(max_batch - 1) ~f:(fun r ->
           Atomic.get r.rc.alive
           && Session.batch_key r.rc.session r.rline = Some key)
     with
-    | [] -> solo lead rid rline
+    | [] -> solo lead
     | stolen ->
-        let members = { rc = lead; rid; rline } :: stolen in
+        let members = lead :: stolen in
         ignore (Atomic.fetch_and_add st.batched (List.length members));
         Obs.add st.obs "server.batched" (List.length members);
         let replies, spents =
@@ -349,20 +411,16 @@ let worker st () =
             send st r.rc reply)
           members
           (List.combine replies spents);
-        (* The leader's inflight is decremented by the pop loop; stolen
-           requests are finished here (per request, not per client — a
-           pipelining client may own several members of one batch). *)
-        List.iter (fun r -> finish r.rc) stolen
+        (* The leader is completed by [serve]; stolen requests are
+           completed here (per request, not per client — a pipelining
+           client may own several members of one batch). *)
+        List.iter complete stolen
   in
   let rec loop () =
     match Admission.pop st.queue with
     | None -> ()
-    | Some { rc = c; rid; rline } ->
-        (if Atomic.get c.alive then
-           match Session.batch_key c.session rline with
-           | Some key -> batched c rid rline key
-           | None -> solo c rid rline);
-        finish c;
+    | Some r ->
+        serve r;
         loop ()
   in
   loop ();
@@ -407,13 +465,20 @@ let admit st c frame =
           else begin
             ignore (Atomic.fetch_and_add c.inflight 1);
             Obs.gauge_add st.obs "server.inflight" 1;
-            match Admission.push st.queue { rc = c; rid = id; rline = line } with
-            | `Ok -> ()
-            | `Full | `Closed ->
-                ignore (Atomic.fetch_and_add c.inflight (-1));
-                Obs.gauge_add st.obs "server.inflight" (-1);
-                shed st c ~id ~cmd ~reason:"queue-full"
-                  ~retry_after_ms:st.cfg.retry_after_ms
+            let r =
+              { rc = c; rid = id; rline = line; rbarrier = Session.changes_state cmd }
+            in
+            if start_or_hold c r then
+              match Admission.push st.queue r with
+              | `Ok -> ()
+              | `Full | `Closed ->
+                  (* Nothing was held behind [r]: it started with an
+                     empty hold queue, and only this domain holds. *)
+                  ignore (release c r);
+                  ignore (Atomic.fetch_and_add c.inflight (-1));
+                  Obs.gauge_add st.obs "server.inflight" (-1);
+                  shed st c ~id ~cmd ~reason:"queue-full"
+                    ~retry_after_ms:st.cfg.retry_after_ms
           end
         end
       end
@@ -509,6 +574,10 @@ let accept_one st clients =
                else None);
             input_done = false;
             next_id = 0;
+            olock = Mutex.create ();
+            running = 0;
+            barrier_out = false;
+            held = Queue.create ();
           }
         in
         clients := !clients @ [ c ];

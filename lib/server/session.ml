@@ -40,10 +40,12 @@
    "code" follows the CLI exit-code contract: 0 ok, 1 parse/unknown
    node, 2 evaluation/fault, 3 I/O, 4 budget exhausted/shed.
 
-   Concurrency: sessions are confined to one worker domain per request
-   (per-client state is only touched by whichever worker handles that
-   client's current request, and the server's per-client in-flight
-   quota plus command ordering keep those sequential per client).  All
+   Concurrency: a client's state-changing requests ([changes_state]) run
+   alone — the server starts one only after the client's earlier
+   requests have replied, and the client's later requests only after it
+   has — so per-client settings are never written while another request
+   of the same client reads them; reads between two such requests may
+   run concurrently on several workers.  All
    cross-client state is the [shared] record: the graph snapshot is an
    atomic swapped under [graph_lock] together with the cache-generation
    bump, and the compilation cache is internally synchronised. *)
@@ -912,6 +914,10 @@ let split_first line =
   | Some i ->
       ( String.sub line 0 i,
         String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+
+let changes_state = function
+  | "load" | "add-edge" | "del-edge" | "del-node" | "delta-load" | "set" -> true
+  | _ -> false
 
 let handle sess ctx b id line =
   let verb, rest = split_first line in

@@ -98,6 +98,13 @@ val handle_line : t -> Buffer.t -> id:int -> string -> action * int
 (** First space-separated token and trimmed remainder. *)
 val split_first : string -> string * string
 
+(** [changes_state verb] — [load], [add-edge], [del-edge], [del-node],
+    [delta-load] and [set]: the verbs that change the graph or the
+    session's settings.  A concurrent server runs such a request as a
+    per-client barrier (see {!Server}), so a client's pipelined
+    [load g; rpq ...] always evaluates against [g]. *)
+val changes_state : string -> bool
+
 (** {1 Request batching}
 
     Queued requests that would run the same compiled automaton under the

@@ -98,4 +98,38 @@ wait "$SRV" || {
 SRV=
 [ ! -S "$SOCK" ] || { echo "serve-smoke: drain left the socket behind" >&2; exit 1; }
 
-echo "serve-smoke: 6 clients x $total replies clean under hostile load (GQ_DOMAINS=${GQ_DOMAINS:-default})"
+# Per-client ordering: a second server with two workers, whose loads and
+# deltas are slowed by 5 ms so a read started beside its write would lose
+# the race.  Each round pipelines `load; rpq a; add-edge; rpq <fresh
+# label>` in one write; every read must see the write before it.
+printf 'node n0 N\nnode n1 N\nnode n2 N\nedge e0 n0 a n1\nedge e1 n1 a n2\n' > "$tmp/line.graph"
+{ cat "$tmp/line.graph"; printf 'edge e2 n2 a n0\n'; } > "$tmp/tri.graph"
+SOCK="$tmp/gq-order.sock"
+( cd "$tmp" && GQ_FAILPOINTS=graph.load=delay:5,graph.delta=delay:5 exec \
+    "$GQD_ABS" --listen "unix:$SOCK" --workers 2 > /dev/null 2> "$tmp/order.err" ) &
+SRV=$!
+i=0
+while [ ! -S "$SOCK" ]; do
+  i=$((i + 1))
+  [ "$i" -le 100 ] || { echo "serve-smoke: ordering socket never appeared" >&2; exit 1; }
+  sleep 0.05
+done
+round=0
+while [ $round -lt 40 ]; do
+  if [ $((round % 2)) -eq 0 ]; then g=line.graph; n=2; else g=tri.graph; n=3; fi
+  printf 'load %s\nrpq a\nadd-edge w n0 l%d n1\nrpq l%d\n' "$g" $round $round \
+    | "$GQD_ABS" client "unix:$SOCK" --pipeline > "$tmp/order.out"
+  if grep -q 'no graph loaded' "$tmp/order.out" \
+    || ! grep -q "^{\"id\":2,\"cmd\":\"rpq\",\"status\":\"ok\".*\"count\":$n}" "$tmp/order.out" \
+    || ! grep -q '^{"id":4,"cmd":"rpq","status":"ok".*"count":1}' "$tmp/order.out"; then
+    echo "serve-smoke: round $round read a stale state" >&2
+    cat "$tmp/order.out" >&2
+    exit 1
+  fi
+  round=$((round + 1))
+done
+kill -TERM "$SRV"
+wait "$SRV" || { echo "serve-smoke: ordering server drain exited nonzero" >&2; exit 1; }
+SRV=
+
+echo "serve-smoke: 6 clients x $total replies clean under hostile load, 40 ordered write-then-read rounds (GQ_DOMAINS=${GQ_DOMAINS:-default})"

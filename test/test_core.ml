@@ -575,6 +575,44 @@ let prop_lrpq_square =
          paths short enough that both halves are within bounds. *)
       List.for_all (fun pm -> List.mem pm direct) composed)
 
+(* [Lrpq.enumerate_bounded] concatenates the per-source answers in
+   ascending source order without a global sort: the result must already
+   be sorted and duplicate-free, i.e. what the former trailing [dedup]
+   produced.  Random graphs with parallel edges and self-loops, random
+   capture expressions, a budget small enough to trip sometimes. *)
+let prop_enumerate_sorted =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, r) -> Printf.sprintf "seed=%d re=%s" seed (Lrpq.to_string r))
+      QCheck.Gen.(pair (int_range 1 200) gen_lrpq)
+  in
+  QCheck.Test.make ~count:100 ~name:"enumerate is sorted and unique" arb
+    (fun (seed, r) ->
+      let g =
+        Generators.random_graph ~seed ~nodes:(2 + (seed mod 5))
+          ~edges:(seed mod 11) ~labels:[ "a"; "b" ]
+      in
+      let max_len = 1 + (seed mod 4) in
+      let run () = Governor.make ~max_steps:(50 + (seed * 7 mod 400)) () in
+      let dedup =
+        List.sort_uniq (fun (p1, m1) (p2, m2) ->
+            match Path.compare p1 p2 with 0 -> Lbinding.compare m1 m2 | c -> c)
+      in
+      let got =
+        Governor.payload ~default:[] (Lrpq.enumerate_bounded (run ()) g r ~max_len)
+      in
+      let old =
+        let gov = run () in
+        List.concat
+          (List.init (Elg.nb_nodes g) (fun src ->
+               if Governor.ok gov then
+                 Governor.payload ~default:[]
+                   (Lrpq.enumerate_from_bounded gov g r ~src ~max_len)
+               else []))
+        |> dedup
+      in
+      got = dedup got && got = old)
+
 let () =
   Alcotest.run "core"
     [
@@ -612,5 +650,9 @@ let () =
           Alcotest.test_case "Example 15" `Quick test_example15;
           Alcotest.test_case "wildcard rejected" `Quick test_nested_wildcard_rejected;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_lrpq_square ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_lrpq_square;
+          QCheck_alcotest.to_alcotest prop_enumerate_sorted;
+        ] );
     ]

@@ -86,6 +86,133 @@ let test_label_partition () =
       expected grouped
   done
 
+(* --- the rebuilt index against a list-and-sort oracle -------------------- *)
+
+(* The label partition as it was first built: per node, collect the
+   labels present, sort them, lay their groups out in ascending order.
+   Returns the partitioned edge array and the per-node directory. *)
+let reference_partition ~nb_nodes ~out_off ~out_csr ~elbl ~nb_labels =
+  let out_lbl_csr = Array.make (Array.length out_csr) 0 in
+  let counts = Array.make (max 1 nb_labels) 0 in
+  let cursor = Array.make (max 1 nb_labels) 0 in
+  let dir = Array.make nb_nodes [] in
+  for v = 0 to nb_nodes - 1 do
+    let lo = out_off.(v) and hi = out_off.(v + 1) in
+    let present = ref [] in
+    for i = lo to hi - 1 do
+      let l = elbl.(out_csr.(i)) in
+      if counts.(l) = 0 then present := l :: !present;
+      counts.(l) <- counts.(l) + 1
+    done;
+    let acc = ref lo in
+    dir.(v) <-
+      List.map
+        (fun l ->
+          let start = !acc in
+          cursor.(l) <- start;
+          acc := !acc + counts.(l);
+          counts.(l) <- 0;
+          (l, start, !acc))
+        (List.sort compare !present);
+    for i = lo to hi - 1 do
+      let e = out_csr.(i) in
+      let l = elbl.(e) in
+      out_lbl_csr.(cursor.(l)) <- e;
+      cursor.(l) <- cursor.(l) + 1
+    done
+  done;
+  (out_lbl_csr, dir)
+
+(* Random graphs as explicit edge lists [(src, label, tgt)]: up to eight
+   nodes (isolated ones included), one to four labels, parallel edges
+   and self-loops; in a third of the cases every node also carries an
+   edge of every label. *)
+let gen_edge_list =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    int_range 1 4 >>= fun nl ->
+    let lbl = map (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) (int_bound (nl - 1)) in
+    list_size (int_range 0 24) (triple (int_bound (n - 1)) lbl (int_bound (n - 1)))
+    >>= fun edges ->
+    int_bound 2 >>= fun mode ->
+    let every =
+      if mode = 0 then
+        List.concat
+          (List.init n (fun v ->
+               List.init nl (fun l ->
+                   (v, String.make 1 (Char.chr (Char.code 'a' + l)), (v + l) mod n))))
+      else []
+    in
+    return (n, edges @ every))
+
+let prop_index_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"CSR, label spans, adjacency = oracle"
+    (QCheck.make
+       ~print:(fun (n, es) ->
+         Printf.sprintf "%d nodes: %s" n
+           (String.concat " "
+              (List.map (fun (s, a, t) -> Printf.sprintf "%d-%s->%d" s a t) es)))
+       gen_edge_list)
+    (fun (n, es) ->
+      let g =
+        Elg.make
+          ~nodes:(List.init n (Printf.sprintf "v%d"))
+          ~edges:
+            (List.mapi
+               (fun i (s, a, t) ->
+                 (Printf.sprintf "e%d" i, Printf.sprintf "v%d" s, a, Printf.sprintf "v%d" t))
+               es)
+      in
+      let es = Array.of_list es in
+      let m = Array.length es in
+      let labels = List.sort_uniq compare (List.map (fun (_, a, _) -> a) (Array.to_list es)) in
+      let lid a =
+        let rec go i = function
+          | [] -> assert false
+          | b :: rest -> if a = b then i else go (i + 1) rest
+        in
+        go 0 labels
+      in
+      let edges_where p = List.filter p (List.init m Fun.id) in
+      let out_ref v = edges_where (fun e -> let s, _, _ = es.(e) in s = v) in
+      let in_ref v = edges_where (fun e -> let _, _, t = es.(e) in t = v) in
+      let out_off = Array.make (n + 1) 0 in
+      for v = 0 to n - 1 do
+        out_off.(v + 1) <- out_off.(v) + List.length (out_ref v)
+      done;
+      let out_csr = Array.of_list (List.concat_map out_ref (List.init n Fun.id)) in
+      let elbl = Array.map (fun (_, a, _) -> lid a) es in
+      let out_lbl_csr, dir =
+        reference_partition ~nb_nodes:n ~out_off ~out_csr ~elbl
+          ~nb_labels:(List.length labels)
+      in
+      let nodes = List.init n Fun.id in
+      Elg.labels g = labels
+      && List.for_all (fun e -> Elg.edge_label_id g e = elbl.(e)) (List.init m Fun.id)
+      && List.for_all
+           (fun v ->
+             Elg.out_edges g v = out_ref v
+             && Elg.in_edges g v = in_ref v
+             && Elg.out_span g v = (out_off.(v), out_off.(v + 1))
+             && List.for_all
+                  (fun u ->
+                    Elg.edges_between g v u
+                    = List.filter (fun e -> let _, _, t = es.(e) in t = u) (out_ref v))
+                  nodes
+             && List.for_all
+                  (fun l ->
+                    let span =
+                      match List.find_opt (fun (l', _, _) -> l' = l) dir.(v) with
+                      | Some (_, lo, hi) -> (lo, hi)
+                      | None -> (0, 0)
+                    in
+                    let lo, hi = Elg.out_label_span g v ~label:l in
+                    (lo, hi) = span
+                    && List.init (hi - lo) (fun i -> Elg.csr_out_label_edge g (lo + i))
+                       = List.init (hi - lo) (fun i -> out_lbl_csr.(lo + i)))
+                  (List.init (List.length labels) Fun.id))
+           nodes)
+
 (* --- the CSR product pins ------------------------------------------------ *)
 
 let test_product_pins () =
@@ -270,5 +397,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_parallel_equals_serial;
           QCheck_alcotest.to_alcotest prop_partial_subset_under_pool;
           QCheck_alcotest.to_alcotest prop_check_equals_pairs_membership;
+          QCheck_alcotest.to_alcotest prop_index_matches_oracle;
         ] );
     ]

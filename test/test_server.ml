@@ -262,9 +262,9 @@ let with_server cfg f =
       Server.await t)
     (fun () -> f t)
 
-let with_delay ms f =
-  Failpoint.arm "serve.eval" (Failpoint.Delay_ms (float_of_int ms));
-  Fun.protect ~finally:(fun () -> Failpoint.disarm "serve.eval") f
+let with_delay ?(site = "serve.eval") ms f =
+  Failpoint.arm site (Failpoint.Delay_ms (float_of_int ms));
+  Fun.protect ~finally:(fun () -> Failpoint.disarm site) f
 
 type client = { fd : Unix.file_descr; ic : in_channel }
 
@@ -554,6 +554,82 @@ let test_pipelined_bulk_replies () =
       close_client c)
     [ "1"; "4" ]
 
+(* A graph file per round parity: the line n0 -a-> n1 -a-> n2, closed
+   into a triangle in the second file, so [rpq a] answers 2 or 3 pairs. *)
+let ordering_files =
+  lazy
+    (List.map
+       (fun closed ->
+         let path = Filename.temp_file "gq_order" ".graph" in
+         let oc = open_out path in
+         output_string oc
+           "node n0 N\nnode n1 N\nnode n2 N\nedge e0 n0 a n1\nedge e1 n1 a n2\n";
+         if closed then output_string oc "edge e2 n2 a n0\n";
+         close_out oc;
+         path)
+       [ false; true ])
+
+(* State-changing requests are per-client barriers: with two workers, a
+   client that pipelines [load g; rpq a; add-edge w n0 l<i> n1; rpq l<i>]
+   in one write must see every write from the read that follows it — no
+   "no graph loaded", no answer from the previous round's graph, no
+   label missing its edge.  Loads and deltas are slowed by 5 ms each, so
+   a read started beside its write would lose the race every time.
+   Fifty rounds over a unix socket, at pool widths 1 and 4. *)
+let test_write_then_read_ordering () =
+  let files = Lazy.force ordering_files in
+  let@ () = with_delay ~site:"graph.load" 5 in
+  let@ () = with_delay ~site:"graph.delta" 5 in
+  let saved = Option.value (Sys.getenv_opt "GQ_DOMAINS") ~default:"" in
+  Fun.protect ~finally:(fun () -> Unix.putenv "GQ_DOMAINS" saved) @@ fun () ->
+  List.iter
+    (fun domains ->
+      Unix.putenv "GQ_DOMAINS" domains;
+      let sock = Filename.temp_file "gq_serve" ".sock" in
+      (* In-flight counts drop only after a reply is written, so the
+         quota leaves room for the previous round's tail. *)
+      let@ t =
+        with_server
+          {
+            (base_config ~workers:2 ~client_inflight:8 ()) with
+            Server.listen = Server.Unix_path sock;
+          }
+      in
+      let c = connect t in
+      Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 20.0;
+      for i = 0 to 49 do
+        send c
+          (Printf.sprintf "load %s\nrpq a\nadd-edge w n0 l%d n1\nrpq l%d"
+             (List.nth files (i mod 2)) i i);
+        let replies = List.init 4 (fun _ -> recv c) in
+        let reply k =
+          match
+            List.filter
+              (fun r -> has_field r "id" (string_of_int ((4 * i) + k)))
+              replies
+          with
+          | [ r ] -> r
+          | _ -> Alcotest.failf "GQ_DOMAINS=%s round %d: no reply %d" domains i k
+        in
+        let expect k what count =
+          let r = reply k in
+          if not (has_field r "status" "\"ok\"" && has_field r "count" count) then
+            Alcotest.failf "GQ_DOMAINS=%s round %d: %s saw a stale state: %s"
+              domains i what r
+        in
+        expect 2 "rpq after load" (if i mod 2 = 0 then "2" else "3");
+        expect 4 "rpq after add-edge" "1";
+        List.iter
+          (fun k ->
+            Alcotest.(check bool)
+              (Printf.sprintf "write %d of round %d ok" k i)
+              true
+              (has_field (reply k) "status" "\"ok\""))
+          [ 1; 3 ]
+      done;
+      close_client c)
+    [ "1"; "4" ]
+
 (* Serve mode sizes the evaluation pool to the hardware threads left per
    worker: with a worker per thread a large request stays serial, and
    the parallelism policy says why. *)
@@ -730,6 +806,8 @@ let () =
           Alcotest.test_case "pipelined bulk replies" `Quick
             test_pipelined_bulk_replies;
           Alcotest.test_case "serve-mode kernel width" `Quick test_serve_width;
+          Alcotest.test_case "write-then-read ordering" `Quick
+            test_write_then_read_ordering;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_server_equals_session ] );

@@ -234,6 +234,93 @@ let prop_incremental_equals_rebuild =
             (memo == applied.Delta.stats));
       true)
 
+(* Name resolution under hostile batches.  Names come from a pool small
+   enough that batches keep adding a name and deleting it again, deleting
+   and re-adding one, adding a live name twice, deleting an unknown
+   name, and deleting nodes (whose ids then compact).  The first bad op,
+   in batch order, decides the error text — the model replays the batch
+   op by op to predict it; a rejected batch leaves graph and model as
+   they were.  After every accepted batch the graph equals the rebuild
+   and every edge name resolves back to its own dense id. *)
+let model_error m (op : Pg.delta_op) =
+  match op with
+  | Pg.Add_edge { name; _ } when model_has_edge m name ->
+      Some ("duplicate edge " ^ name)
+  | Pg.Del_edge name when not (model_has_edge m name) ->
+      Some ("unknown edge " ^ name)
+  | Pg.Del_node name when not (model_has_node m name) ->
+      Some ("unknown node " ^ name)
+  | _ -> None
+
+let prop_name_resolution =
+  QCheck.Test.make ~count:120 ~name:"name resolution under hostile batches"
+    seed_arb (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m = gen_base st in
+      let pg = ref (model_rebuild m) in
+      (* Mostly names the op can use, so most batches get through; the
+         rest hit each error. *)
+      let live () = List.map (fun (n, _, _, _, _) -> n) m.m_edges in
+      let pool = List.init 8 (Printf.sprintf "e%d") in
+      let name ~want_live =
+        let fit = List.filter (fun n -> List.mem n (live ()) = want_live) pool in
+        if fit <> [] && Random.State.int st 10 < 8 then pick st fit else pick st pool
+      in
+      let node () = Printf.sprintf "n%d" (Random.State.int st 9) in
+      for batch = 1 to 6 do
+        let saved = (m.m_nodes, m.m_edges, m.m_deleted) in
+        let expected = ref None in
+        let ops =
+          List.init
+            (1 + Random.State.int st 6)
+            (fun _ ->
+              let op =
+                match Random.State.int st 10 with
+                | 0 -> Pg.Del_node (node ())
+                | 1 | 2 | 3 | 4 -> Pg.Del_edge (name ~want_live:true)
+                | _ ->
+                    Pg.Add_edge
+                      {
+                        name = name ~want_live:false;
+                        src = node ();
+                        label = pick st [ "a"; "b"; "zz" ];
+                        tgt = node ();
+                        props = [];
+                      }
+              in
+              (if !expected = None then
+                 match model_error m op with
+                 | Some e -> expected := Some e
+                 | None -> model_apply m op);
+              op)
+        in
+        let expected = !expected in
+        let msg = Printf.sprintf "batch %d" batch in
+        match (Delta.apply_res !pg ops, expected) with
+        | Ok a, None ->
+            pg := a.Delta.pg;
+            check_graph_eq msg !pg (model_rebuild m);
+            let g = Pg.elg !pg in
+            for e = 0 to Elg.nb_edges g - 1 do
+              Alcotest.(check int) (msg ^ ": edge_id . edge_name") e
+                (Elg.edge_id g (Elg.edge_name g e))
+            done
+        | Error err, Some want ->
+            let m_nodes, m_edges, m_deleted = saved in
+            m.m_nodes <- m_nodes;
+            m.m_edges <- m_edges;
+            m.m_deleted <- m_deleted;
+            Alcotest.(check string) (msg ^ ": error text") want
+              (match err with
+              | Gq_error.Parse { what = "delta"; msg } -> msg
+              | e -> Gq_error.to_string e)
+        | Ok _, Some want -> Alcotest.failf "%s: accepted, expected %S" msg want
+        | Error err, None ->
+            Alcotest.failf "%s: rejected a valid batch: %s" msg
+              (Gq_error.to_string err)
+      done;
+      true)
+
 let queries =
   Regex.
     [
@@ -604,6 +691,7 @@ let () =
           Alcotest.test_case "bad batches rejected" `Quick
             test_bad_batches_leave_graph_untouched;
           Alcotest.test_case "delta parser" `Quick test_delta_parser;
+          qt prop_name_resolution;
         ] );
       ( "binary",
         [
