@@ -1237,12 +1237,14 @@ let e20 () =
   in
 
   (* --- part A: serve-style repeated requests, cold vs warm cache --------- *)
-  (* Each request compiles an RPQ and runs a single-source evaluation.
-     Cold builds a fresh cache per request, so every request pays parse +
-     Glushkov + product construction; warm shares one cache, so repeats
-     skip straight to the BFS.  The label-rich graph makes the product
-     construction the dominant per-request cost, as in a serve session
-     alternating a few canned queries. *)
+  (* Each request compiles an RPQ and runs a multi-source evaluation (the
+     product cache's only client: single-source queries walk the product
+     on the fly and never build one).  Cold builds a fresh cache per
+     request, so every request pays parse + Glushkov + product
+     construction; warm shares one cache, so repeats skip straight to the
+     kernel.  The label-rich graph makes the product construction the
+     dominant per-request cost, as in a serve session alternating a few
+     canned queries. *)
   let n = if !quick then 400 else 2_000 in
   let g =
     Generators.random_graph ~seed:23 ~nodes:n ~edges:(8 * n)
@@ -1259,19 +1261,26 @@ let e20 () =
             | Error _ -> assert false
             | Ok c ->
                 Governor.payload ~default:[]
-                  (Rpq_compile.from_source_bounded ~obs cache
-                     (Governor.unlimited ()) g c ~src:(i * 7919 mod n))))
+                  (Rpq_compile.pairs_bounded ~obs cache
+                     (Governor.unlimited ()) g c)))
   in
   (* Caches are enabled explicitly so the measurement is independent of
      the ambient GQ_PLAN_CACHE (make check-plan runs the suite with the
      env switch both ways). *)
-  let (cold_answers, cold_counters), cold_ms =
-    oneshot_ms (fun () -> run_requests (fun () -> Rpq_compile.create ~enabled:true ()))
-  in
+  let cold () = run_requests (fun () -> Rpq_compile.create ~enabled:true ()) in
   let warm_cache = Rpq_compile.create ~enabled:true () in
-  let (warm_answers, warm_counters), warm_ms =
-    oneshot_ms (fun () -> run_requests (fun () -> warm_cache))
-  in
+  let warm () = run_requests (fun () -> warm_cache) in
+  (* Best of 3, cold and warm interleaved so both see the same heap;
+     the first warm pass fills the cache, so its counters show the
+     misses and the later passes time the steady state. *)
+  let (cold_answers, cold_counters), cold_ms = oneshot_ms cold in
+  let (warm_answers, warm_counters), warm_ms = oneshot_ms warm in
+  let cold_ms = ref cold_ms and warm_ms = ref warm_ms in
+  for _ = 2 to 3 do
+    cold_ms := Float.min !cold_ms (snd (oneshot_ms cold));
+    warm_ms := Float.min !warm_ms (snd (oneshot_ms warm))
+  done;
+  let cold_ms = !cold_ms and warm_ms = !warm_ms in
   let row mode ms counters =
     Printf.printf
       "  {\"experiment\":\"E20\",\"phase\":\"cache\",\"mode\":%S,\"requests\":%d,\"elapsed_ms\":%.2f,\"ms_per_request\":%.3f,\"counters\":%s}\n"

@@ -54,8 +54,8 @@ let to_planner_atom a =
    product, which never materializes the atom's full relation. *)
 type exec =
   | Mat of atom * (int * int) list
-  | Probe_fwd of int * atom * Product.t  (* x bound: BFS from h(x) *)
-  | Probe_bwd of int * atom * Product.t  (* y bound: reverse BFS from h(y) *)
+  | Probe_fwd of int * atom * Rpq_walk.t  (* x bound: walk from h(x) *)
+  | Probe_bwd of int * atom * Rpq_walk.t  (* y bound: reverse walk from h(y) *)
 
 let swap_sorted ps =
   List.sort Stdlib.compare (List.rev_map (fun (v, u) -> (u, v)) ps)
@@ -128,12 +128,15 @@ let homomorphisms_gov ?pool ?(obs = Obs.none) ?planner gov g q =
           let e =
             if bx then
               let c = Rpq_compile.compile_ast ~obs Rpq_compile.shared a.re in
-              Probe_fwd
-                (pos, a, Rpq_compile.product ~obs Rpq_compile.shared g c)
+              Probe_fwd (pos, a, Rpq_walk.make g c.Plan_cache.nfa)
             else if by then
               let c = Rpq_compile.compile_ast ~obs Rpq_compile.shared a.re in
               Probe_bwd
-                (pos, a, Rpq_compile.product_rev ~obs Rpq_compile.shared g c)
+                ( pos,
+                  a,
+                  Rpq_walk.make
+                    (Rpq_compile.reversed_graph Rpq_compile.shared g)
+                    (Nfa.of_regex (Regex.reverse c.Plan_cache.ast)) )
             else begin
               let pairs =
                 materialize_memo ?pool ~obs gov g memo a ap.Planner.direction
@@ -164,12 +167,12 @@ let homomorphisms_gov ?pool ?(obs = Obs.none) ?planner gov g q =
   (* Reachable sets per (planned atom, start node), shared across join
      branches that bind the same node. *)
   let reach_memo = Hashtbl.create 64 in
-  let reach pos product src =
+  let reach pos walk src =
     match Hashtbl.find_opt reach_memo (pos, src) with
     | Some ts -> ts
     | None ->
         probe_count 1;
-        let ts = Rpq_eval.from_source_product ~gov ~obs product ~src in
+        let ts = Rpq_walk.targets ~obs gov walk ~src in
         Hashtbl.add reach_memo (pos, src) ts;
         ts
   in
@@ -204,7 +207,7 @@ let homomorphisms_gov ?pool ?(obs = Obs.none) ?planner gov g q =
                   try_pair a asg u v
                 end)
               pairs
-        | Probe_fwd (pos, a, product) ->
+        | Probe_fwd (pos, a, walk) ->
             let u = node_of asg a.x in
             List.iter
               (fun v ->
@@ -212,8 +215,8 @@ let homomorphisms_gov ?pool ?(obs = Obs.none) ?planner gov g q =
                   incr considered;
                   try_pair a asg u v
                 end)
-              (reach pos product u)
-        | Probe_bwd (pos, a, product) ->
+              (reach pos walk u)
+        | Probe_bwd (pos, a, walk) ->
             let v = node_of asg a.y in
             List.iter
               (fun u ->
@@ -221,7 +224,7 @@ let homomorphisms_gov ?pool ?(obs = Obs.none) ?planner gov g q =
                   incr considered;
                   try_pair a asg u v
                 end)
-              (reach pos product v))
+              (reach pos walk v))
   in
   extend [] execs;
   candidates !considered;

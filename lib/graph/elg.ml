@@ -176,6 +176,13 @@ let make ~nodes ~edges =
     ~elbl:(Array.map (Hashtbl.find label_ids) lbl)
     ~label_names ~label_ids
 
+(* Names, node ids and the label table are shared; only the CSR index
+   is rebuilt, by the same counting sorts as every other snapshot. *)
+let reverse g =
+  assemble ~node_names:g.node_names ~node_ids:g.node_ids
+    ~edge_names:g.edge_names ~src:g.tgt ~tgt:g.src ~elbl:g.elbl
+    ~label_names:g.label_names ~label_ids:g.label_ids
+
 let id g = g.stamp
 let nb_nodes g = g.nb_nodes
 let nb_edges g = g.nb_edges

@@ -13,6 +13,13 @@ type t
     [Invalid_argument] on duplicate names or unknown endpoints. *)
 val make : nodes:string list -> edges:(string * string * string * string) list -> t
 
+(** [reverse g] is [g] with every edge's source and target swapped: the
+    same node and edge names, dense ids and interned labels, and its own
+    {!id}.  The name arrays, the node-name table and the label table are
+    shared with [g]; the CSR index is rebuilt by counting sorts, O(n + m)
+    with no string hashing. *)
+val reverse : t -> t
+
 (** [id g] is a process-unique stamp assigned at {!make}.  Caches keyed
     by graph use it as their generation: a fresh [load] yields a fresh
     id, so entries for earlier graphs can be invalidated wholesale. *)

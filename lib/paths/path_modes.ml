@@ -52,68 +52,43 @@ let dfs ?(obs = Obs.none) gov product ~src ~tgt ~max_len ~node_once
     (Product.initials_at product src);
   expansions !expanded
 
-(* Geodesic DFS: follow only product edges on shortest-path layers. *)
-let shortest_search ?(obs = Obs.none) gov product ~src ~tgt ~emit =
+(* Geodesic DFS: follow only product edges on shortest-path layers.  The
+   layers come from a walk of the product on the fly ({!Rpq_walk}) that
+   stops once the first level reaching an accepting [(tgt, q)] is
+   complete; deeper states cannot lie on a shortest path. *)
+let shortest_search ?(obs = Obs.none) gov g nfa ~src ~tgt ~emit =
   let expansions = Obs.counter_fn obs "paths.expansions" in
   let expanded = ref 0 in
-  let g = Product.graph product in
-  let n = Product.nb_states product in
-  let dist = Array.make (max 1 n) (-1) in
-  let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) < 0 then begin
-        dist.(s) <- 0;
-        Queue.add s queue
-      end)
-    (Product.initials_at product src);
-  while not (Queue.is_empty queue) && Governor.ok gov do
-    let s = Queue.pop queue in
-    Product.iter_out product s (fun _ s' ->
-        if Governor.tick gov then begin
-          incr expanded;
-          if dist.(s') < 0 then begin
-            dist.(s') <- dist.(s) + 1;
-            Queue.add s' queue
+  let w = Rpq_walk.make g nfa in
+  let nq = Rpq_walk.nb_automaton_states w in
+  Rpq_walk.with_distances
+    ~expanded:(fun d -> expanded := !expanded + d)
+    gov w ~src ~tgt
+    (fun ~best:d ~dist ->
+      if d >= 0 then begin
+        let rec go state rev_objs len =
+          if len = d then begin
+            if state / nq = tgt && Rpq_walk.is_final w state then
+              ignore (emit (List.rev rev_objs))
           end
-        end)
-  done;
-  let best = ref max_int in
-  for s = 0 to n - 1 do
-    let v, _ = Product.decode product s in
-    if v = tgt && Product.is_final product s && dist.(s) >= 0 then
-      best := min !best dist.(s)
-  done;
-  if !best < max_int then begin
-    let d = !best in
-    let rec go state rev_objs len =
-      let v, _ = Product.decode product state in
-      if len = d then begin
-        if v = tgt && Product.is_final product state then
-          ignore (emit (List.rev rev_objs))
-      end
-      else
-        Product.iter_out product state (fun e state' ->
-            if
-              dist.(state') = len + 1 && dist.(state') <= d
-              && Governor.tick gov
-            then begin
-              incr expanded;
-              go state' (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs) (len + 1)
-            end)
-    in
-    List.iter
-      (fun s -> if dist.(s) = 0 && Governor.ok gov then go s [ Path.N src ] 0)
-      (Product.initials_at product src)
-  end;
+          else
+            Rpq_walk.iter_succ w state (fun e state' ->
+                if dist state' = len + 1 && Governor.tick gov then begin
+                  incr expanded;
+                  go state' (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs) (len + 1)
+                end)
+        in
+        List.iter
+          (fun s -> if dist s = 0 && Governor.ok gov then go s [ Path.N src ] 0)
+          (Rpq_walk.initials w ~src)
+      end);
   expansions !expanded
 
 let shortest_gov ?(obs = Obs.none) gov g r ~src ~tgt =
   Obs.span obs "paths.eval" @@ fun () ->
-  let product = det_product ~obs g r in
   let acc = ref [] in
   let emitted = ref 0 in
-  shortest_search ~obs gov product ~src ~tgt ~emit:(fun objs ->
+  shortest_search ~obs gov g (det_nfa r) ~src ~tgt ~emit:(fun objs ->
       if Governor.emit gov then begin
         incr emitted;
         acc := Path.of_objs_exn g objs :: !acc
@@ -201,9 +176,8 @@ let count_gov ?(obs = Obs.none) gov g r ~mode ~max_len ~src ~tgt =
   match mode with
   | All -> Rpq_count.count_paths_upto ~obs g r ~src ~tgt ~max_len
   | Shortest ->
-      let product = det_product ~obs g r in
       let n = ref Nat_big.zero in
-      shortest_search ~obs gov product ~src ~tgt ~emit:(fun _ ->
+      shortest_search ~obs gov g (det_nfa r) ~src ~tgt ~emit:(fun _ ->
           n := Nat_big.succ !n;
           Governor.ok gov);
       !n

@@ -47,7 +47,10 @@ val enumerate_bounded :
   Path.t list Governor.outcome
 
 (** All shortest matching paths (the full geodesic set, not just one
-    witness). *)
+    witness).  The BFS layers come from an on-the-fly walk of the
+    product over the minimized DFA ({!Rpq_walk.with_distances}), which
+    stops once the first level reaching [tgt] in an accepting state is
+    complete; no product is built. *)
 val shortest : Elg.t -> Sym.t Regex.t -> src:int -> tgt:int -> Path.t list
 
 val shortest_bounded :

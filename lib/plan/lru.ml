@@ -102,10 +102,10 @@ let sweep t ~f =
           | `Drop ->
               Hashtbl.remove t.table k;
               incr dropped
-          | `Rekey (k', gen) ->
+          | `Rekey (k', gen, value) ->
               Hashtbl.remove t.table k;
               Hashtbl.replace t.table k'
-                { value = e.value; gen; last_used = e.last_used };
+                { value; gen; last_used = e.last_used };
               incr rekeyed)
         actions;
       ignore (Atomic.fetch_and_add t.invalidated !dropped);

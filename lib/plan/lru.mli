@@ -34,13 +34,13 @@ val drop_generations_except : ('k, 'v) t -> int -> int
 
 (** [sweep t ~f] visits every entry and applies [f]'s verdict: keep it,
     drop it (counted into {!invalidated}), or move it to a new key and
-    generation, preserving the value and its recency — how delta
-    application migrates still-valid product-cache entries to the new
-    graph id instead of rebuilding them.  Returns
-    [(dropped, rekeyed)]. *)
+    generation with a replacement value, preserving its recency — how
+    delta application migrates still-valid product-cache entries to the
+    new graph id (re-pointed at the new snapshot) instead of rebuilding
+    them.  Returns [(dropped, rekeyed)]. *)
 val sweep :
   ('k, 'v) t ->
-  f:('k -> 'v -> [ `Keep | `Drop | `Rekey of 'k * int ]) ->
+  f:('k -> 'v -> [ `Keep | `Drop | `Rekey of 'k * int * 'v ]) ->
   int * int
 
 val clear : ('k, 'v) t -> unit

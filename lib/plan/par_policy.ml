@@ -54,8 +54,11 @@ let min_units_per_worker () =
       | None -> default_min_units_per_worker)
   | None -> default_min_units_per_worker
 
-let hw = lazy (max 1 (Domain.recommended_domain_count ()))
-let hardware () = Lazy.force hw
+(* Computed at module initialisation: serve workers decide widths from
+   several domains at once, and concurrent forcing of a shared [Lazy.t]
+   raises [Lazy.Undefined]. *)
+let hw = max 1 (Domain.recommended_domain_count ())
+let hardware () = hw
 
 let now () = Unix.gettimeofday ()
 

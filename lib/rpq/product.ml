@@ -6,7 +6,7 @@ type t = {
      list-based construction: graph edges in declaration order, and for
      each edge the matching NFA transitions in delta order. *)
   off : int array;
-  edge : int array;
+  edge : int array; (* ids in the build snapshot, see [repoint] *)
   succ : int array;
   finals : bool array; (* per automaton state, aliased from the NFA *)
   (* Reverse CSR (pull adjacency), built lazily on the first pull sweep
@@ -101,6 +101,13 @@ let make ?(obs = Obs.none) graph nfa =
     rev = Atomic.make None;
     rlock = Mutex.create ();
   }
+
+(* The new record shares every array, and the reverse-CSR cell with its
+   lock, so a pull adjacency built through either value serves both. *)
+let repoint t graph =
+  if Elg.nb_nodes graph <> Elg.nb_nodes t.graph then
+    invalid_arg "Product.repoint: node counts differ";
+  { t with graph }
 
 let graph t = t.graph
 let nfa t = t.nfa

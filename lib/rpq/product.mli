@@ -15,6 +15,19 @@ val make : ?obs:Obs.t -> Elg.t -> Sym.t Nfa.t -> t
 
 val graph : t -> Elg.t
 val nfa : t -> Sym.t Nfa.t
+
+(** [repoint p g] is [p] over snapshot [g]: the same states, successor
+    arrays, finals and (lazily built) reverse CSR, shared rather than
+    copied, with {!graph} answering [g] — so the snapshot [p] was built
+    on is no longer referenced through the result.  Valid only when [g]
+    has [p]'s node set and every edge [p]'s automaton can traverse is
+    unchanged between the two snapshots (the delta-migration condition
+    of {!Rpq_compile.apply_delta}).  The edge ids of {!csr_edge},
+    {!iter_out} and {!out} still name edges of the {e build} snapshot,
+    which a delta may renumber: callers of a repointed product read
+    only states and successors.  Raises [Invalid_argument] when the
+    node counts differ. *)
+val repoint : t -> Elg.t -> t
 val nb_states : t -> int
 
 (** [state p ~node ~q] encodes a product node. *)

@@ -49,25 +49,12 @@ let compile_ast ?obs t re = Plan_cache.compile_ast ?obs t.plans re
 
 let key_of (c : Plan_cache.compiled) = c.flags ^ ":" ^ c.source
 
-(* Same node/edge names in the same declaration order, so ids coincide
-   with the forward graph and pairs translate back by a plain swap. *)
-let build_reversed g =
-  let nodes = List.init (Elg.nb_nodes g) (Elg.node_name g) in
-  let edges =
-    List.init (Elg.nb_edges g) (fun e ->
-        ( Elg.edge_name g e,
-          Elg.node_name g (Elg.tgt g e),
-          Elg.label g e,
-          Elg.node_name g (Elg.src g e) ))
-  in
-  Elg.make ~nodes ~edges
-
 let reversed_graph t g =
   let gid = Elg.id g in
   match if t.enabled then Lru.find t.reversed gid else None with
   | Some rg -> rg
   | None ->
-      let rg = build_reversed g in
+      let rg = Elg.reverse g in
       if t.enabled then Lru.add t.reversed ~gen:gid gid rg;
       rg
 
@@ -121,17 +108,19 @@ let set_generation t gen =
 
 let generation t = Atomic.get t.gen
 
-(* Fine-grained invalidation across a delta.  A cached product embeds
-   its source graph, and every cached-evaluation path reads only that
-   embedded graph (node count, labels, successor spans) — so an entry
-   stays exact on the post-delta graph when (a) the node set is
-   unchanged (dense ids and the ε self-pair range coincide), and (b)
-   its query can only match labels disjoint from the touched set (no
-   wildcard/negation, no mentioned label in the delta): no edge the
-   query can traverse was added or removed.  Such entries migrate to
-   the new graph id, keeping the cache warm under a live update
-   stream; everything else built against the old snapshot drops.
-   Reversed graphs always drop — they mirror the whole edge set. *)
+(* Fine-grained invalidation across a delta.  Every cached-evaluation
+   path reads a product's states, successors and embedded graph (node
+   count, labels, out-spans for source pruning), never its edge ids —
+   so a forward entry stays exact on the post-delta graph when (a) the
+   node set is unchanged (dense ids and the ε self-pair range
+   coincide), and (b) its query can only match labels disjoint from
+   the touched set (no wildcard/negation, no mentioned label in the
+   delta): no edge the query can traverse was added or removed.  Such
+   entries migrate to the new graph id, re-pointed at the new snapshot
+   so the old one is not kept alive by the cache.  Reversed products
+   drop along with the reversed graphs: their embedded graph is the
+   reversed old snapshot, and the forward new one would answer for the
+   wrong direction. *)
 let apply_delta ?(obs = Obs.none) t ~old_graph ~new_graph ~touched_labels
     ~nodes_stable =
   let old_gid = Elg.id old_graph and new_gid = Elg.id new_graph in
@@ -143,7 +132,7 @@ let apply_delta ?(obs = Obs.none) t ~old_graph ~new_graph ~touched_labels
       let by_label = ref 0 and kept = ref 0 in
       ignore
         (Lru.sweep t.products ~f:(fun (gid, key, rev) e ->
-             if gid <> old_gid then `Drop
+             if gid <> old_gid || rev then `Drop
              else if
                (not nodes_stable) || e.pwild
                || List.exists (fun a -> List.mem a touched_labels) e.psyms
@@ -153,7 +142,10 @@ let apply_delta ?(obs = Obs.none) t ~old_graph ~new_graph ~touched_labels
              end
              else begin
                incr kept;
-               `Rekey ((new_gid, key, rev), new_gid)
+               `Rekey
+                 ( (new_gid, key, rev),
+                   new_gid,
+                   { e with prod = Product.repoint e.prod new_graph } )
              end));
       ignore (Lru.drop_generations_except t.reversed new_gid);
       ignore (Atomic.fetch_and_add t.by_label !by_label);
@@ -210,33 +202,35 @@ let pairs_bounded ?pool ?(obs = Obs.none) ?planner t gov g c =
       Rpq_eval.pairs_product_bounded ?pool ~obs gov (product_rev ~obs t g c)
       |> Governor.map (transpose_sorted ~n:(Elg.nb_nodes g))
 
-let from_source_bounded ?(obs = Obs.none) t gov g c ~src =
+(* Single-source evaluation never touches the product cache: the walk
+   explores only what [src] reaches, which costs less than looking up a
+   cold product would, and keeps the cache for multi-source queries. *)
+let from_source_bounded ?(obs = Obs.none) _t gov g (c : Plan_cache.compiled)
+    ~src =
   Obs.span obs "rpq.eval" @@ fun () ->
-  let p = product ~obs t g c in
-  let targets = Rpq_eval.from_source_product ~gov ~obs p ~src in
+  let targets = Rpq_walk.targets ~obs gov (Rpq_walk.make g c.nfa) ~src in
   let kept = Governor.take_results gov targets in
   Obs.add obs "rpq.answers" (List.length kept);
   Governor.seal gov kept
 
 (* One compiled query, many sources, one evaluation: the serve-mode
    batching path.  Under the bitset kernel all sources run as one packed
-   multi-source traversal; the scalar fallback loops a per-source BFS
-   over shared compilation artifacts.  Either way the governor spans the
+   multi-source traversal over the cached product; the scalar fallback
+   walks each source on the fly.  Either way the governor spans the
    whole batch, so budgets cover the coalesced run, not each member. *)
 let from_source_batch ?pool ?(obs = Obs.none) t gov g c ~srcs =
   Obs.span obs "rpq.eval" @@ fun () ->
-  let p = product ~obs t g c in
   let out =
     if Rpq_bitset.enabled () then
-      Rpq_bitset.targets ~obs ?pool gov p ~sources:srcs
+      Rpq_bitset.targets ~obs ?pool gov (product ~obs t g c) ~sources:srcs
     else begin
+      let w = Rpq_walk.make g c.Plan_cache.nfa in
       let res =
         Array.map
           (fun src ->
             if Governor.ok gov then
               Array.of_list
-                (Governor.take_results gov
-                   (Rpq_eval.from_source_product ~gov ~obs p ~src))
+                (Governor.take_results gov (Rpq_walk.targets ~obs gov w ~src))
             else [||])
           srcs
       in

@@ -5,9 +5,10 @@
     graph-dependent artifacts — product graphs and reversed graphs — are
     keyed by {!Elg.id} and generation-invalidated: {!set_generation}
     (called by the serve session on [load]) drops every entry built
-    against another graph.  The caches make warm serve-mode requests
+    against another graph.  The caches make warm multi-source requests
     skip parse, Glushkov, and product construction entirely; E20
-    measures the resulting speedup.
+    measures the resulting speedup.  Single-source requests use only the
+    query-only artifacts: they walk the product on the fly instead.
 
     When [GQ_PLAN_CACHE=off] (or [enabled:false]) nothing is stored and
     every request recompiles — used by [make check-plan] to pin that
@@ -42,8 +43,8 @@ val product : ?obs:Obs.t -> t -> Elg.t -> Plan_cache.compiled -> Product.t
     backward from their targets. *)
 val product_rev : ?obs:Obs.t -> t -> Elg.t -> Plan_cache.compiled -> Product.t
 
-(** The edge-reversed twin of [g] (same nodes/labels, src/tgt swapped),
-    cached by graph id. *)
+(** The edge-reversed twin of [g] ({!Elg.reverse}: same nodes, labels
+    and names, src/tgt swapped), cached by graph id. *)
 val reversed_graph : t -> Elg.t -> Elg.t
 
 (** Is the forward product for this compiled query already cached?
@@ -58,15 +59,19 @@ val generation : t -> int
 
 (** [apply_delta t ~old_graph ~new_graph ~touched_labels ~nodes_stable]
     — fine-grained invalidation for a delta from [old_graph] to
-    [new_graph]: cached products whose queries mention only labels
-    disjoint from [touched_labels] (and no wildcard/negated symbol)
-    stay warm, migrated to the new graph id — valid because cached
-    evaluation reads only the product's embedded graph and, with the
-    node set unchanged ([nodes_stable]) and no traversable edge
-    touched, its answers on the new graph are unchanged.  Everything
-    else from [old_graph] drops ([plan.invalidated_by_label] /
-    [plan.retained] count the split); reversed graphs always drop.
-    Serialized with {!set_generation} under the same lock. *)
+    [new_graph]: cached forward products whose queries mention only
+    labels disjoint from [touched_labels] (and no wildcard/negated
+    symbol) stay warm, migrated to the new graph id and re-pointed at
+    [new_graph] ({!Product.repoint}), so the cache never keeps
+    [old_graph] alive.  Valid because cached evaluation reads only the
+    product's states, successors and embedded graph, never its edge ids
+    (which stay those of the build snapshot), and with the node set
+    unchanged ([nodes_stable]) and no traversable edge touched its
+    answers on the new graph are unchanged.  Every other forward entry
+    from [old_graph] drops ([plan.invalidated_by_label] /
+    [plan.retained] count the split); reversed products and reversed
+    graphs always drop.  Serialized with {!set_generation} under the
+    same lock. *)
 val apply_delta :
   ?obs:Obs.t ->
   t ->
@@ -95,8 +100,10 @@ val pairs_bounded :
   t -> Governor.t -> Elg.t -> Plan_cache.compiled ->
   (int * int) list Governor.outcome
 
-(** [from_source_bounded t gov g c ~src] — reachable targets, through
-    the product cache. *)
+(** [from_source_bounded t gov g c ~src] — reachable targets, by an
+    on-the-fly walk of the product ({!Rpq_walk}) over [c]'s cached
+    automaton: the cost is what [src] reaches, and the product cache is
+    neither read nor filled. *)
 val from_source_bounded :
   ?obs:Obs.t ->
   t -> Governor.t -> Elg.t -> Plan_cache.compiled -> src:int ->
@@ -104,9 +111,9 @@ val from_source_bounded :
 
 (** [from_source_batch t gov g c ~srcs] — reachable targets for every
     source in [srcs], as one evaluation: the bitset kernel packs the
-    whole batch into one multi-source traversal (serve-mode request
-    coalescing), the scalar fallback loops per source over the shared
-    product.  [srcs.(i)]'s targets are at index [i], sorted ascending —
+    whole batch into one multi-source traversal over the cached product
+    (serve-mode request coalescing), the scalar fallback walks each
+    source on the fly ({!Rpq_walk}).  [srcs.(i)]'s targets are at index [i], sorted ascending —
     each row sliced straight from the kernel's per-source emission
     buffer (no list rebuild).  One governor spans the batch. *)
 val from_source_batch :

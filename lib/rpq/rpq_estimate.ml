@@ -5,36 +5,13 @@ let estimate_pairs g r ~samples ~seed =
   if n = 0 || samples <= 0 then 0.0
   else begin
     let st = Random.State.make [| seed |] in
-    let nfa = Nfa.of_regex r in
-    let product = Product.make g nfa in
+    let w = Rpq_walk.make g (Nfa.of_regex r) in
     let total = ref 0 in
     for _ = 1 to samples do
       let src = Random.State.int st n in
       (* Out-degree of the sampled source in the answer relation. *)
-      let seen = Array.make (Product.nb_states product) false in
-      let queue = Queue.create () in
-      List.iter
-        (fun s ->
-          if not seen.(s) then begin
-            seen.(s) <- true;
-            Queue.add s queue
-          end)
-        (Product.initials_at product src);
-      while not (Queue.is_empty queue) do
-        let s = Queue.pop queue in
-        Product.iter_out product s (fun _ s' ->
-            if not seen.(s') then begin
-              seen.(s') <- true;
-              Queue.add s' queue
-            end)
-      done;
-      let reached = Hashtbl.create 16 in
-      Array.iteri
-        (fun s ok ->
-          if ok && Product.is_final product s then
-            Hashtbl.replace reached (fst (Product.decode product s)) ())
-        seen;
-      total := !total + Hashtbl.length reached
+      total :=
+        !total + List.length (Rpq_walk.targets (Governor.unlimited ()) w ~src)
     done;
     float_of_int !total /. float_of_int samples *. float_of_int n
   end

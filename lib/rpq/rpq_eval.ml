@@ -14,9 +14,10 @@
    kernel ({!Rpq_bitset}, on by default, [GQ_BITSET=off] to revert)
    returns per-block buffers that are already globally ordered. *)
 
-(* Per-worker BFS scratch, reused across sources: stamping replaces the
-   per-source [Array.make _ false] of the old engine, so a search costs
-   memory proportional to what it reaches, not to the product size. *)
+(* Per-worker BFS scratch for the scalar multi-source engine, reused
+   across the sources of one evaluation: stamping replaces a per-source
+   [Array.make _ false].  Single-source queries walk the product on the
+   fly instead ({!Rpq_walk}). *)
 type scratch = {
   seen : int array; (* product state -> stamp of last visit *)
   queue : int array; (* flat BFS queue; states enter at most once *)
@@ -91,17 +92,9 @@ let bfs_targets gov stats product sc ~src on_target =
   stats.transitions !relaxed;
   stats.states !tail
 
-let from_source_product ?(gov = Governor.unlimited ()) ?(obs = Obs.none)
-    product ~src =
-  let sc = scratch_of product in
-  let acc = ref [] in
-  bfs_targets gov (bfs_stats_of obs) product sc ~src (fun v -> acc := v :: !acc);
-  List.sort_uniq Stdlib.compare !acc
-
 let from_source_bounded ?(obs = Obs.none) gov g r ~src =
   Obs.span obs "rpq.eval" @@ fun () ->
-  let product = Product.make ~obs g (Nfa.of_regex r) in
-  let targets = from_source_product ~gov ~obs product ~src in
+  let targets = Rpq_walk.targets ~obs gov (Rpq_walk.make g (Nfa.of_regex r)) ~src in
   let kept = Governor.take_results gov targets in
   Obs.add obs "rpq.answers" (List.length kept);
   Governor.seal gov kept

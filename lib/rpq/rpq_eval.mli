@@ -31,7 +31,9 @@ val pairs_bounded :
   ?pool:Pool.t -> ?obs:Obs.t ->
   Governor.t -> Elg.t -> Sym.t Regex.t -> (int * int) list Governor.outcome
 
-(** Nodes reachable from [src] along a matching path. *)
+(** Nodes reachable from [src] along a matching path: an on-the-fly
+    walk of the product ({!Rpq_walk}) that never builds it, so the cost
+    is what [src] reaches. *)
 val from_source : ?obs:Obs.t -> Elg.t -> Sym.t Regex.t -> src:int -> int list
 
 val from_source_bounded :
@@ -86,11 +88,6 @@ val count_pairs_bounded :
   Governor.t -> Elg.t -> Sym.t Regex.t -> int Governor.outcome
 
 val count_pairs : ?pool:Pool.t -> ?obs:Obs.t -> Elg.t -> Sym.t Regex.t -> int
-
-(** Reachable targets over a prebuilt product, charging the governor.
-    Shared with the other engines; exposed for reuse. *)
-val from_source_product :
-  ?gov:Governor.t -> ?obs:Obs.t -> Product.t -> src:int -> int list
 
 (** A shortest matching path from [src] to [tgt], if any (BFS in G×). *)
 val shortest_witness : Elg.t -> Sym.t Regex.t -> src:int -> tgt:int -> Path.t option

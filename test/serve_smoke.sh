@@ -132,4 +132,68 @@ kill -TERM "$SRV"
 wait "$SRV" || { echo "serve-smoke: ordering server drain exited nonzero" >&2; exit 1; }
 SRV=
 
-echo "serve-smoke: 6 clients x $total replies clean under hostile load, 40 ordered write-then-read rounds (GQ_DOMAINS=${GQ_DOMAINS:-default})"
+# Single-source reads across writes, on a like server that admits a
+# ten-request pipeline (in-flight counts drop only once a reply is
+# written, so the default per-client quota would shed it): each round
+# pipelines `rpq-from` between two writes, the first on a label the
+# warm `a*` product does not read (so that product migrates to the new
+# snapshot) and the second on one it does.  Every rpq-from answer must
+# equal a cold multi-source evaluation (the `rpq` CLI, filtered to the
+# source) of the graph at the epoch the preceding write reported.
+cold() { # FILE SRC REGEX -> the answers array of a reply
+  printf '[%s]' "$("$GQD_ABS" rpq "$1" "$3" \
+    | awk -v s="$2" '$1 == s { printf "%s\"%s\"", (n++ ? "," : ""), $3 }')"
+}
+expect() { # ID ANSWERS: reply ID is an ok rpq-from carrying ANSWERS
+  line=$(grep "^{\"id\":$1,\"cmd\":\"rpq-from\",\"status\":\"ok\"" "$tmp/from.out" || true)
+  case "$line" in
+    *"\"answers\":$2,"*) ;;
+    *)
+      echo "serve-smoke: round $round rpq-from id $1 expected $2" >&2
+      cat "$tmp/from.out" >&2
+      exit 1 ;;
+  esac
+}
+for g in line tri; do
+  { cat "$tmp/$g.graph"; printf 'edge w1 n2 b n1\n'; } > "$tmp/$g.s1.graph"
+  { cat "$tmp/$g.s1.graph"; printf 'edge w2 n2 a n0\n'; } > "$tmp/$g.s2.graph"
+  eval "${g}_3=\$(cold \"\$tmp/$g.graph\" n0 'a*')"
+  eval "${g}_5=\$(cold \"\$tmp/$g.s1.graph\" n0 'a*.b')"
+  eval "${g}_7=\$(cold \"\$tmp/$g.s1.graph\" n1 'a*')"
+  eval "${g}_9=\$(cold \"\$tmp/$g.s2.graph\" n1 'a*')"
+  eval "${g}_10=\$(cold \"\$tmp/$g.s2.graph\" n0 'a*.b')"
+done
+SOCK="$tmp/gq-from.sock"
+( cd "$tmp" && GQ_FAILPOINTS=graph.load=delay:5,graph.delta=delay:5 exec \
+    "$GQD_ABS" --listen "unix:$SOCK" --workers 2 --client-inflight 16 \
+    > /dev/null 2> "$tmp/from.err" ) &
+SRV=$!
+i=0
+while [ ! -S "$SOCK" ]; do
+  i=$((i + 1))
+  [ "$i" -le 100 ] || { echo "serve-smoke: rpq-from socket never appeared" >&2; exit 1; }
+  sleep 0.05
+done
+round=0
+while [ $round -lt 20 ]; do
+  if [ $((round % 2)) -eq 0 ]; then g=line; else g=tri; fi
+  printf 'load %s.graph\nrpq a*\nrpq-from n0 a*\nadd-edge w1 n2 b n1\nrpq-from n0 a*.b\nrpq a*\nrpq-from n1 a*\nadd-edge w2 n2 a n0\nrpq-from n1 a*\nrpq-from n0 a*.b\n' "$g" \
+    | "$GQD_ABS" client "unix:$SOCK" --pipeline > "$tmp/from.out"
+  e4=$(sed -n 's/^{"id":4,"cmd":"add-edge","status":"ok".*"epoch":\([0-9]*\).*/\1/p' "$tmp/from.out")
+  e8=$(sed -n 's/^{"id":8,"cmd":"add-edge","status":"ok".*"epoch":\([0-9]*\).*/\1/p' "$tmp/from.out")
+  [ -n "$e4" ] && [ -n "$e8" ] && [ "$e8" -eq $((e4 + 1)) ] || {
+    echo "serve-smoke: round $round writes did not report consecutive epochs" >&2
+    cat "$tmp/from.out" >&2
+    exit 1
+  }
+  for id in 3 5 7 9 10; do
+    eval "want=\$${g}_$id"
+    expect "$id" "$want"
+  done
+  round=$((round + 1))
+done
+kill -TERM "$SRV"
+wait "$SRV" || { echo "serve-smoke: rpq-from server drain exited nonzero" >&2; exit 1; }
+SRV=
+
+echo "serve-smoke: 6 clients x $total replies clean under hostile load, 40 ordered write-then-read rounds, 20 rpq-from-across-writes rounds (GQ_DOMAINS=${GQ_DOMAINS:-default})"

@@ -176,6 +176,230 @@ let prop_naive_sound_on_cycles =
         (fun uv -> List.mem uv full)
         (Rpq_eval.pairs_naive g r ~max_len:3))
 
+(* --- single-source walker vs product BFS vs matrix oracle ---------------- *)
+
+(* The single-source engine before the walker: build the whole product,
+   then BFS it from [src] with stamped-free scratch, charging one step
+   per product edge of each popped state and recording the same
+   counters.  Kept here as the walker's oracle. *)
+let product_bfs_targets ?(obs = Obs.none) gov product ~src =
+  let ns = max 1 (Product.nb_states product) in
+  let seen = Array.make ns false and queue = Array.make ns 0 in
+  let tmark = Array.make (max 1 (Elg.nb_nodes (Product.graph product))) false in
+  let acc = ref [] and head = ref 0 and tail = ref 0 in
+  let visit s =
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      queue.(!tail) <- s;
+      incr tail;
+      if Product.is_final product s then begin
+        let v, _ = Product.decode product s in
+        if not tmark.(v) then begin
+          tmark.(v) <- true;
+          acc := v :: !acc
+        end
+      end
+    end
+  in
+  List.iter visit (Product.initials_at product src);
+  let relaxed = ref 0 and running = ref (Governor.ok gov) in
+  while !running && !head < !tail do
+    let s = queue.(!head) in
+    incr head;
+    let lo, hi = Product.out_span product s in
+    if Governor.tick_many gov (hi - lo) then begin
+      relaxed := !relaxed + (hi - lo);
+      for i = lo to hi - 1 do
+        visit (Product.csr_succ product i)
+      done
+    end
+    else running := false
+  done;
+  Obs.add obs "rpq.sources" 1;
+  Obs.add obs "rpq.product_transitions" !relaxed;
+  Obs.add obs "rpq.states_visited" !tail;
+  List.sort_uniq compare !acc
+
+let gen_walk_graph =
+  QCheck.Gen.(
+    map3
+      (fun seed nodes edges ->
+        Generators.random_graph ~seed ~nodes ~edges ~labels:[ "a"; "b"; "c" ])
+      (int_range 1 10_000) (int_range 1 7) (int_range 0 14))
+
+(* Like [gen_regex], plus a third label and negated sets, so wildcard
+   and [!{...}] transitions meet labels they must and must not match. *)
+let gen_walk_regex =
+  QCheck.Gen.(
+    sized_size (int_range 1 7) @@ fix (fun self size ->
+        if size <= 1 then
+          oneof
+            [
+              return Regex.Eps;
+              map (fun l -> Regex.Atom (Sym.Lbl l)) (oneofl [ "a"; "b"; "c" ]);
+              return (Regex.Atom Sym.Any);
+              map (fun s -> Regex.Atom (Sym.Not s))
+                (oneofl [ [ "a" ]; [ "b"; "c" ]; [ "zz" ] ]);
+            ]
+        else
+          oneof
+            [
+              map2 (fun a b -> Regex.Seq (a, b)) (self (size / 2)) (self (size / 2));
+              map2 (fun a b -> Regex.Alt (a, b)) (self (size / 2)) (self (size / 2));
+              map (fun a -> Regex.Star a) (self (size - 1));
+            ]))
+
+(* [None] is unlimited; small caps trip mid-walk on these graphs. *)
+let gen_budget =
+  QCheck.Gen.(
+    pair (opt (int_range 0 30)) (opt (int_range 0 4)))
+
+let arb_walk =
+  QCheck.make
+    ~print:(fun (_, r, (st, rs)) ->
+      let o = function None -> "-" | Some k -> string_of_int k in
+      Printf.sprintf "%s  max_steps=%s max_results=%s" (print_regex r) (o st)
+        (o rs))
+    QCheck.Gen.(triple gen_walk_graph gen_walk_regex gen_budget)
+
+let status = function
+  | Governor.Complete _ -> "complete"
+  | Governor.Partial (_, r) -> "partial:" ^ Governor.reason_to_string r
+  | Governor.Aborted r -> "aborted:" ^ Governor.reason_to_string r
+
+let prop_walk_vs_product =
+  QCheck.Test.make ~count:300
+    ~name:"walker = product BFS = matrix oracle (widths 1, 4)" arb_walk
+    (fun (g, r, (max_steps, max_results)) ->
+      let nfa = Nfa.of_regex r in
+      let product = Product.make g nfa and w = Rpq_walk.make g nfa in
+      let oracle = Matrix_oracle.pairs g r in
+      let n = Elg.nb_nodes g in
+      let full src = List.filter_map (fun (u, v) -> if u = src then Some v else None) oracle in
+      let run eval =
+        let metrics = Metrics.create () in
+        let obs = Obs.make ~metrics () in
+        let gov = Governor.make ?max_steps ?max_results () in
+        let out = Governor.seal gov (Governor.take_results gov (eval ~obs gov)) in
+        (out, Governor.steps gov, Metrics.counters metrics)
+      in
+      for src = 0 to n - 1 do
+        let wo, wsteps, wcount =
+          run (fun ~obs gov -> Rpq_walk.targets ~obs gov w ~src)
+        in
+        let po, psteps, pcount =
+          run (fun ~obs gov -> product_bfs_targets ~obs gov product ~src)
+        in
+        if status wo <> status po then
+          QCheck.Test.fail_reportf "src %d: walker %s, product %s" src
+            (status wo) (status po);
+        if wsteps <> psteps then
+          QCheck.Test.fail_reportf "src %d: walker %d steps, product %d" src
+            wsteps psteps;
+        if wcount <> pcount then
+          QCheck.Test.fail_reportf "src %d: counters differ" src;
+        let payload = Governor.payload ~default:[] in
+        if payload wo <> payload po then
+          QCheck.Test.fail_reportf "src %d: answers differ" src;
+        (match wo with
+        | Governor.Complete ts ->
+            if ts <> full src then
+              QCheck.Test.fail_reportf "src %d: complete walk <> oracle" src
+        | Governor.Partial (ts, _) ->
+            if not (List.for_all (fun v -> List.mem v (full src)) ts) then
+              QCheck.Test.fail_reportf "src %d: partial walk not a subset" src
+        | Governor.Aborted _ -> ())
+      done;
+      (* One walker shared by concurrent domains, each walking with its
+         own per-domain scratch: every source's answer is the oracle's. *)
+      List.for_all
+        (fun pool ->
+          let width = Pool.size pool in
+          let got = Array.make n [] in
+          Pool.fork_join pool ~width (fun k ->
+              let src = ref k in
+              while !src < n do
+                got.(!src) <-
+                  Rpq_walk.targets (Governor.unlimited ()) w ~src:!src;
+                src := !src + width
+              done);
+          Array.for_all Fun.id (Array.mapi (fun src ts -> ts = full src) got))
+        [ pool1; pool4 ])
+
+(* --- shortest paths: walker layers vs the full product BFS ---------------- *)
+
+(* [Path_modes.shortest] as it was before the walker: BFS the whole
+   product built over the minimized DFA, take the least depth of an
+   accepting [(tgt, q)], then enumerate the geodesics depth-first along
+   the BFS layers.  The walker's version must list the same paths in the
+   same order. *)
+let product_shortest g r ~src ~tgt =
+  let product =
+    Product.make g (Dfa.to_nfa (Dfa.minimize (Dfa.of_nfa (Nfa.of_regex r))))
+  in
+  let n = Product.nb_states product in
+  let dist = Array.make (max 1 n) (-1) in
+  let queue = Queue.create () in
+  List.iter
+    (fun s ->
+      if dist.(s) < 0 then begin
+        dist.(s) <- 0;
+        Queue.add s queue
+      end)
+    (Product.initials_at product src);
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    Product.iter_out product s (fun _ s' ->
+        if dist.(s') < 0 then begin
+          dist.(s') <- dist.(s) + 1;
+          Queue.add s' queue
+        end)
+  done;
+  let best = ref max_int in
+  for s = 0 to n - 1 do
+    let v, _ = Product.decode product s in
+    if v = tgt && Product.is_final product s && dist.(s) >= 0 then
+      best := min !best dist.(s)
+  done;
+  let acc = ref [] in
+  if !best < max_int then begin
+    let d = !best in
+    let rec go state rev_objs len =
+      let v, _ = Product.decode product state in
+      if len = d then begin
+        if v = tgt && Product.is_final product state then
+          acc := Path.of_objs_exn g (List.rev rev_objs) :: !acc
+      end
+      else
+        Product.iter_out product state (fun e state' ->
+            if dist.(state') = len + 1 then
+              go state' (Path.N (Elg.tgt g e) :: Path.E e :: rev_objs) (len + 1))
+    in
+    List.iter
+      (fun s -> if dist.(s) = 0 then go s [ Path.N src ] 0)
+      (Product.initials_at product src)
+  end;
+  List.rev !acc
+
+let prop_shortest_vs_product =
+  QCheck.Test.make ~count:200 ~name:"shortest on the walker = product BFS, in order"
+    (QCheck.make ~print:(fun (_, r) -> print_regex r)
+       QCheck.Gen.(pair gen_walk_graph gen_walk_regex))
+    (fun (g, r) ->
+      let n = Elg.nb_nodes g in
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun tgt ->
+              let want = product_shortest g r ~src ~tgt in
+              Path_modes.shortest g r ~src ~tgt = want
+              && Nat_big.to_int
+                   (Path_modes.count g r ~mode:Path_modes.Shortest ~max_len:0
+                      ~src ~tgt)
+                 = Some (List.length want))
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
 (* --- CRPQ: pairwise joins vs worst-case-optimal join ---------------------- *)
 
 let gen_crpq =
@@ -244,6 +468,8 @@ let () =
             prop_rpq_nfa_vs_dfa;
             prop_rpq_vs_naive_on_dags;
             prop_naive_sound_on_cycles;
+            prop_walk_vs_product;
+            prop_shortest_vs_product;
           ] );
       ( "crpq",
         List.map QCheck_alcotest.to_alcotest [ prop_crpq_vs_wcoj ] );

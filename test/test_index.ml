@@ -379,6 +379,73 @@ let test_total_paths () =
     (Nat_big.to_string per_pair_sum)
     (Nat_big.to_string (Rpq_count.total_paths_upto g r ~max_len:3))
 
+(* --- reversed graphs --------------------------------------------------------- *)
+
+(* The reversed graph as it used to be built: a full [Elg.make] over the
+   swapped edge list — same node and edge names in the same declaration
+   order — re-interning every name. *)
+let build_reversed g =
+  let nodes = List.init (Elg.nb_nodes g) (Elg.node_name g) in
+  let edges =
+    List.init (Elg.nb_edges g) (fun e ->
+        ( Elg.edge_name g e,
+          Elg.node_name g (Elg.tgt g e),
+          Elg.label g e,
+          Elg.node_name g (Elg.src g e) ))
+  in
+  Elg.make ~nodes ~edges
+
+let prop_reverse_matches_rebuild =
+  QCheck.Test.make ~count:300 ~name:"Elg.reverse = rebuild from swapped edges"
+    (QCheck.make
+       ~print:(fun (n, es) ->
+         Printf.sprintf "%d nodes: %s" n
+           (String.concat " "
+              (List.map (fun (s, a, t) -> Printf.sprintf "%d-%s->%d" s a t) es)))
+       gen_edge_list)
+    (fun (n, es) ->
+      let g =
+        Elg.make
+          ~nodes:(List.init n (Printf.sprintf "v%d"))
+          ~edges:
+            (List.mapi
+               (fun i (s, a, t) ->
+                 (Printf.sprintf "e%d" i, Printf.sprintf "v%d" s, a, Printf.sprintf "v%d" t))
+               es)
+      in
+      let r = Elg.reverse g and want = build_reversed g in
+      let nodes = List.init (Elg.nb_nodes want) Fun.id in
+      let edges = List.init (Elg.nb_edges want) Fun.id in
+      let labels = List.init (Elg.nb_labels want) Fun.id in
+      Elg.id r <> Elg.id g
+      && Elg.nb_nodes r = Elg.nb_nodes want
+      && Elg.nb_edges r = Elg.nb_edges want
+      && Elg.labels r = Elg.labels want
+      && List.for_all (fun l -> Elg.label_name r l = Elg.label_name want l) labels
+      && List.for_all
+           (fun v ->
+             Elg.node_name r v = Elg.node_name want v
+             && Elg.node_id r (Elg.node_name want v) = v
+             && Elg.out_edges r v = Elg.out_edges want v
+             && Elg.in_edges r v = Elg.in_edges want v
+             && Elg.out_span r v = Elg.out_span want v
+             && Elg.in_span r v = Elg.in_span want v
+             && List.for_all
+                  (fun l ->
+                    Elg.out_label_span r v ~label:l = Elg.out_label_span want v ~label:l
+                    && Elg.out_label_edges r v ~label:l
+                       = Elg.out_label_edges want v ~label:l)
+                  labels)
+           nodes
+      && List.for_all
+           (fun e ->
+             Elg.edge_name r e = Elg.edge_name want e
+             && Elg.src r e = Elg.src want e
+             && Elg.tgt r e = Elg.tgt want e
+             && Elg.label r e = Elg.label want e
+             && Elg.edge_label_id r e = Elg.edge_label_id want e)
+           edges)
+
 let () =
   Alcotest.run "index"
     [
@@ -398,5 +465,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_partial_subset_under_pool;
           QCheck_alcotest.to_alcotest prop_check_equals_pairs_membership;
           QCheck_alcotest.to_alcotest prop_index_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_reverse_matches_rebuild;
         ] );
     ]

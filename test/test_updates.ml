@@ -372,7 +372,10 @@ let prop_answers_equal =
 
 (* Cached evaluation through [Rpq_compile.apply_delta] must agree with
    evaluating cold on the post-delta graph — including wildcard queries,
-   which can never be retained. *)
+   which can never be retained, and backward evaluation over the cached
+   reversed products, whose graph is the reversed snapshot: a reversed
+   product carried across a delta onto the forward graph would prune
+   sources by out-edges instead of in-edges and answer wrongly. *)
 let prop_cache_consistency =
   QCheck.Test.make ~count:120 ~name:"plan cache consistent across deltas"
     seed_arb (fun seed ->
@@ -390,12 +393,23 @@ let prop_cache_consistency =
         Governor.payload ~default:[]
           (Rpq_compile.pairs_bounded t (Governor.unlimited ()) g c)
       in
+      let eval_backward g c =
+        Governor.payload ~default:[]
+          (Rpq_eval.pairs_product_bounded (Governor.unlimited ())
+             (Rpq_compile.product_rev t g c))
+        |> List.map (fun (v, u) -> (u, v))
+        |> List.sort compare
+      in
       let st = Random.State.make [| seed |] in
       let m = gen_base st in
       let pg = ref (model_rebuild m) in
       Rpq_compile.set_generation t (Elg.id (Pg.elg !pg));
-      (* Warm every product on the base graph. *)
-      List.iter (fun c -> ignore (eval (Pg.elg !pg) c)) compiled;
+      (* Warm every product, forward and reversed, on the base graph. *)
+      List.iter
+        (fun c ->
+          ignore (eval (Pg.elg !pg) c);
+          ignore (eval_backward (Pg.elg !pg) c))
+        compiled;
       for i = 1 to 3 do
         let ops = gen_batch st m in
         match Delta.apply_res !pg ops with
@@ -418,7 +432,11 @@ let prop_cache_consistency =
                 Alcotest.(check bool)
                   (Printf.sprintf "batch %d: cached = cold" i)
                   true
-                  (eval new_g c = cold))
+                  (eval new_g c = cold);
+                Alcotest.(check bool)
+                  (Printf.sprintf "batch %d: cached backward = cold" i)
+                  true
+                  (eval_backward new_g c = cold))
               compiled
       done;
       true)
@@ -674,6 +692,61 @@ let test_untouched_label_stays_warm () =
   Alcotest.(check int) "counted as label invalidation" 1
     (Rpq_compile.invalidated_by_label t)
 
+(* A product migrated across deltas must not keep the snapshot it was
+   built on alive: after deltas on an untouched label and a full major
+   collection, the pre-delta graph is gone, and the migrated product
+   still answers like a cold evaluation on the current snapshot. *)
+let test_migrated_product_releases_snapshot () =
+  let t = Rpq_compile.create ~enabled:true () in
+  let c =
+    match Rpq_compile.compile t "a.a*" with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "compile"
+  in
+  let eval g =
+    Governor.payload ~default:[]
+      (Rpq_compile.pairs_bounded ~planner:false t (Governor.unlimited ()) g c)
+  in
+  let weak = Weak.create 1 in
+  (* Everything that names the pre-delta graph lives in this frame. *)
+  let migrate () =
+    let pg0 =
+      mk_pg [ "u"; "v"; "w" ]
+        [ ("ea", "u", "a", "v"); ("eb", "v", "a", "w"); ("ed0", "v", "d", "w") ]
+    in
+    let g0 = Pg.elg pg0 in
+    Weak.set weak 0 (Some g0);
+    Rpq_compile.set_generation t (Elg.id g0);
+    ignore (eval g0);
+    let pg = ref pg0 in
+    for i = 1 to 4 do
+      let ops =
+        if i mod 2 = 1 then
+          [ Pg.Add_edge { name = Printf.sprintf "ed%d" i; src = "w"; label = "d"; tgt = "u"; props = [] } ]
+        else [ Pg.Del_edge (Printf.sprintf "ed%d" (i - 1)) ]
+      in
+      let applied = apply_exn !pg ops in
+      let s = applied.Delta.summary in
+      Rpq_compile.apply_delta t ~old_graph:(Pg.elg !pg)
+        ~new_graph:(Pg.elg applied.Delta.pg)
+        ~touched_labels:s.Elg.touched_labels
+        ~nodes_stable:(s.Elg.added_nodes = 0 && s.Elg.removed_nodes = 0);
+      pg := applied.Delta.pg
+    done;
+    !pg
+  in
+  let pg = Sys.opaque_identity (migrate ()) in
+  Gc.full_major ();
+  Alcotest.(check bool) "pre-delta snapshot collected" false (Weak.check weak 0);
+  let g = Pg.elg pg in
+  Alcotest.(check bool) "product migrated" true (Rpq_compile.product_cached t g c);
+  Alcotest.(check int) "retained across every delta" 4 (Rpq_compile.retained t);
+  let misses = Rpq_compile.product_misses t in
+  Alcotest.(check (list (pair int int))) "migrated = cold"
+    (Rpq_eval.pairs g c.Plan_cache.ast) (eval g);
+  Alcotest.(check int) "served without a rebuild" misses
+    (Rpq_compile.product_misses t)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "updates"
@@ -708,5 +781,7 @@ let () =
         [
           Alcotest.test_case "untouched label stays warm" `Quick
             test_untouched_label_stays_warm;
+          Alcotest.test_case "migrated product releases its snapshot" `Quick
+            test_migrated_product_releases_snapshot;
         ] );
     ]
