@@ -1,20 +1,18 @@
-.PHONY: all check perfbench-selftest check-faults check-plan check-serve check-bitset check-kernel check-updates check-recovery test bench bench-smoke clean
+.PHONY: all check check-env perfbench-selftest check-faults check-serve check-updates check-recovery test bench bench-smoke clean
 
 all:
 	dune build @all
 
 # The tier-1 gate: build everything (libs, CLI, bench, examples) and run
 # the full test suite, including the CLI smoke test (test/smoke.sh),
-# then re-run it under a canned fault schedule and with the plan layer
-# toggled off and on.
+# then re-run it at pool widths 1 and 4 with and without a canned fault
+# schedule.
 check:
 	dune build @all
+	$(MAKE) check-env
 	dune runtest
 	$(MAKE) check-faults
-	$(MAKE) check-plan
 	$(MAKE) check-serve
-	$(MAKE) check-bitset
-	$(MAKE) check-kernel
 	$(MAKE) check-updates
 	$(MAKE) check-recovery
 	$(MAKE) perfbench-selftest
@@ -26,26 +24,31 @@ check:
 perfbench-selftest:
 	python3 perfbench/run.py --self-test
 
-# The whole suite again with every library failpoint site armed — a
-# delay-only schedule, so checks take the armed slow path (registry
-# lookup, counters, sleeps) without changing any answer; the serve-mode
-# transcripts pin their own GQ_FAILPOINTS on top.  Run at pool widths 1
-# and 4 so the armed sites are also crossed from parallel domains.
+# The library and the CLI read exactly two environment variables,
+# GQ_DOMAINS and GQ_FAILPOINTS: fail on any other getenv (or on one
+# whose variable name is not a literal) in lib/ or bin/.
+check-env:
+	@bad=$$(grep -rnoE '(Sys|Unix)\.(getenv(_opt)?|environment)([[:space:]]+"[^"]*")?' \
+	  --include='*.ml' lib bin | grep -vE '"GQ_(DOMAINS|FAILPOINTS)"$$'); \
+	if [ -n "$$bad" ]; then \
+	  echo "check-env: lib/ or bin/ reads an environment variable other than GQ_DOMAINS or GQ_FAILPOINTS:" >&2; \
+	  echo "$$bad" >&2; exit 1; \
+	fi
+
+# The whole suite again under the only two settings that are still
+# configuration: pool width (GQ_DOMAINS 1 and 4, so parallel paths are
+# crossed from several domains) and the fault schedule (unset, and every
+# library failpoint site armed with a delay-only schedule, so checks take
+# the armed slow path — registry lookup, counters, sleeps — without
+# changing any answer; the serve-mode transcripts pin their own
+# GQ_FAILPOINTS on top).
 FAULT_SCHEDULE = graph.load=delay:1,graph.delta=delay:0,graph.save=delay:0,rpq.product.build=delay:0,rpq.bfs.step=delay:0,crpq.join.atom=delay:0,pool.fork=delay:0,serve.eval=delay:0,wal.append=delay:0,wal.fsync=delay:0,wal.checkpoint=delay:0,wal.rotate=delay:0
 check-faults:
 	dune build @all
+	env -u GQ_FAILPOINTS GQ_DOMAINS=1 dune runtest --force
+	env -u GQ_FAILPOINTS GQ_DOMAINS=4 dune runtest --force
 	GQ_FAILPOINTS="$(FAULT_SCHEDULE)" GQ_DOMAINS=1 dune runtest --force
 	GQ_FAILPOINTS="$(FAULT_SCHEDULE)" GQ_DOMAINS=4 dune runtest --force
-
-# The whole suite twice more: once with the plan layer fully disabled
-# (no compilation cache, left-to-right atom order, no backward
-# evaluation) and once pinned on.  The golden files and the differential
-# properties pin the answers, so both runs passing means caching and
-# planning never change results.
-check-plan:
-	dune build @all
-	GQ_PLAN_CACHE=off GQ_PLAN=off dune runtest --force
-	GQ_PLAN_CACHE=on GQ_PLAN=on dune runtest --force
 
 # Concurrent-load smoke for `gqd --listen` (test/serve_smoke.sh): six
 # synchronous clients and one hostile flooder against one server, fatal
@@ -55,35 +58,6 @@ check-serve:
 	dune build bin/gqd.exe
 	GQ_DOMAINS=1 bash test/serve_smoke.sh _build/default/bin/gqd.exe
 	GQ_DOMAINS=4 bash test/serve_smoke.sh _build/default/bin/gqd.exe
-
-# The whole suite with the bit-parallel multi-source kernel forced off
-# (scalar stamped-array engine) and forced on, each at pool widths 1 and
-# 4.  The differential properties and the golden files pin the answers,
-# so all four runs passing means the packed kernel is answer-equivalent
-# to the scalar one under every width; kernel-sensitive goldens pin
-# GQ_BITSET themselves.
-check-bitset:
-	dune build @all
-	GQ_BITSET=off GQ_DOMAINS=1 dune runtest --force
-	GQ_BITSET=off GQ_DOMAINS=4 dune runtest --force
-	GQ_BITSET=on GQ_DOMAINS=1 dune runtest --force
-	GQ_BITSET=on GQ_DOMAINS=4 dune runtest --force
-
-# The whole suite with the packed kernel on and the sweep direction
-# pinned to push-only, pull-only, and the adaptive heuristic, each at
-# pool widths 1 and 4.  The differential properties and goldens pin the
-# answers, so all six runs passing means the pull direction and the
-# per-sweep switching never change results under any width; goldens
-# whose counters are direction-sensitive pin GQ_PULL_THRESHOLD
-# themselves (empty = adaptive default).
-check-kernel:
-	dune build @all
-	GQ_BITSET=on GQ_PULL_THRESHOLD=push GQ_DOMAINS=1 dune runtest --force
-	GQ_BITSET=on GQ_PULL_THRESHOLD=push GQ_DOMAINS=4 dune runtest --force
-	GQ_BITSET=on GQ_PULL_THRESHOLD=pull GQ_DOMAINS=1 dune runtest --force
-	GQ_BITSET=on GQ_PULL_THRESHOLD=pull GQ_DOMAINS=4 dune runtest --force
-	GQ_BITSET=on GQ_PULL_THRESHOLD= GQ_DOMAINS=1 dune runtest --force
-	GQ_BITSET=on GQ_PULL_THRESHOLD= GQ_DOMAINS=4 dune runtest --force
 
 # The update/persistence suite (test/test_updates.ml) under the armed
 # delta/save failpoint sites, at pool widths 1 and 4: the model-based

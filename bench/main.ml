@@ -1010,11 +1010,6 @@ end
 
 let e17 () =
   header "E17" "indexed CSR + parallel multi-source RPQ vs seed engine (JSONL)";
-  (* E17 is the scalar baseline: the bit-parallel kernel is pinned off so
-     these rows stay comparable release over release (E22 carries the
-     packed-kernel rows). *)
-  Rpq_bitset.set_enabled false;
-  Fun.protect ~finally:Rpq_bitset.clear_enabled @@ fun () ->
   (* The seed engine is a frozen baseline with no telemetry hooks, so its
      rows carry an empty counters object. *)
   let jsonl ~graph ~nodes ~edges ~query ~engine ~answers ?(counters = []) ms =
@@ -1264,11 +1259,8 @@ let e20 () =
                   (Rpq_compile.pairs_bounded ~obs cache
                      (Governor.unlimited ()) g c)))
   in
-  (* Caches are enabled explicitly so the measurement is independent of
-     the ambient GQ_PLAN_CACHE (make check-plan runs the suite with the
-     env switch both ways). *)
-  let cold () = run_requests (fun () -> Rpq_compile.create ~enabled:true ()) in
-  let warm_cache = Rpq_compile.create ~enabled:true () in
+  let cold () = run_requests (fun () -> Rpq_compile.create ()) in
+  let warm_cache = Rpq_compile.create () in
   let warm () = run_requests (fun () -> warm_cache) in
   (* Best of 3, cold and warm interleaved so both see the same heap;
      the first warm pass fills the cache, so its counters show the
@@ -1557,12 +1549,27 @@ let e21 () =
     exit 1
   end
 
+(* The multi-source baseline without the packed kernel: one on-the-fly
+   walk ({!Rpq_walk}) per source node, pairs in (u, v) order — what the
+   library evaluates when it answers one source at a time. *)
+let walk_pairs ?(obs = Obs.none) g nfa =
+  let w = Rpq_walk.make g nfa in
+  let gov = Governor.unlimited () in
+  let acc = ref [] in
+  for u = Elg.nb_nodes g - 1 downto 0 do
+    acc :=
+      List.rev_append
+        (List.rev_map (fun v -> (u, v)) (Rpq_walk.targets ~obs gov w ~src:u))
+        !acc
+  done;
+  !acc
+
 (* ======================================================================== *)
-(* E22: the bit-parallel word-packed kernel vs the scalar indexed engine.   *)
+(* E22: the bit-parallel word-packed kernel vs one walk per source.         *)
 (* ======================================================================== *)
 
 let e22 () =
-  header "E22" "bit-parallel packed kernel vs scalar indexed engine (JSONL)";
+  header "E22" "bit-parallel packed kernel vs per-source walks (JSONL)";
   let failures = ref 0 in
   (* Answer-equality gates are fatal (bench-smoke rides on them); in the
      full sweep the 10k-node speedup target is fatal too. *)
@@ -1582,10 +1589,6 @@ let e22 () =
          "{\"experiment\":\"E22\",\"graph\":%S,\"nodes\":%d,\"edges\":%d,\"query\":%S,\"engine\":%S,\"answers\":%d,\"elapsed_ms\":%.2f,\"counters\":%s}"
          graph nodes edges query engine answers ms (counters_json counters))
   in
-  let with_kernel b f =
-    Rpq_bitset.set_enabled b;
-    Fun.protect ~finally:Rpq_bitset.clear_enabled f
-  in
   let speed10k = ref None in
   let run_case g ~gname ~query =
     let nfa = Nfa.of_regex (Rpq_parse.parse query) in
@@ -1597,46 +1600,41 @@ let e22 () =
       oneshot_ms f
     in
     let min3 a b c = Float.min a (Float.min b c) in
-    let sca_run () =
-      with_kernel false (fun () ->
-          counted (fun obs -> Rpq_eval.pairs_nfa ~pool:serial_pool ~obs g nfa))
-    in
+    let walk_run () = counted (fun obs -> walk_pairs ~obs g nfa) in
     let bit_run () =
-      with_kernel true (fun () ->
-          counted (fun obs -> Rpq_eval.pairs_nfa ~pool:serial_pool ~obs g nfa))
+      counted (fun obs -> Rpq_eval.pairs_nfa ~pool:serial_pool ~obs g nfa)
     in
     let par_run () =
-      with_kernel true (fun () ->
-          counted (fun obs -> Rpq_eval.pairs_nfa ~pool:pool2 ~obs g nfa))
+      counted (fun obs -> Rpq_eval.pairs_nfa ~pool:pool2 ~obs g nfa)
     in
-    let (sca_pairs, sca_counters), s1 = timed sca_run in
+    let (walk_res, walk_counters), w1 = timed walk_run in
     let (bit_pairs, bit_counters), b1 = timed bit_run in
     let (par_pairs, par_counters), p1 = timed par_run in
-    let _, s2 = timed sca_run in
+    let _, w2 = timed walk_run in
     let _, b2 = timed bit_run in
     let _, p2 = timed par_run in
-    let _, s3 = timed sca_run in
+    let _, w3 = timed walk_run in
     let _, b3 = timed bit_run in
     let _, p3 = timed par_run in
-    let sca_ms = min3 s1 s2 s3
+    let walk_ms = min3 w1 w2 w3
     and bit_ms = min3 b1 b2 b3
     and par_ms = min3 p1 p2 p3 in
-    jsonl ~graph:gname ~nodes ~edges ~query ~engine:"scalar-serial"
-      ~answers:(List.length sca_pairs) ~counters:sca_counters sca_ms;
+    jsonl ~graph:gname ~nodes ~edges ~query ~engine:"walk-serial"
+      ~answers:(List.length walk_res) ~counters:walk_counters walk_ms;
     jsonl ~graph:gname ~nodes ~edges ~query ~engine:"bitset-serial"
       ~answers:(List.length bit_pairs) ~counters:bit_counters bit_ms;
     jsonl ~graph:gname ~nodes ~edges ~query ~engine:"bitset-parallel"
       ~answers:(List.length par_pairs) ~counters:par_counters par_ms;
     let case = Printf.sprintf "%s(%d) %s" gname nodes query in
-    require (case ^ ": bitset = scalar") (bit_pairs = sca_pairs);
-    require (case ^ ": bitset width-2 = scalar") (par_pairs = sca_pairs);
+    require (case ^ ": bitset = walk") (bit_pairs = walk_res);
+    require (case ^ ": bitset width-2 = walk") (par_pairs = walk_res);
     require (case ^ ": width-2 row reports rpq.par_width 2")
       (List.assoc_opt "rpq.par_width" par_counters = Some 2);
-    Printf.printf "  %-36s scalar %8.2f ms   bitset %8.2f ms (%.1fx)   width-2 %8.2f ms\n"
-      case sca_ms bit_ms (sca_ms /. bit_ms) par_ms;
+    Printf.printf "  %-36s walk %8.2f ms   bitset %8.2f ms (%.1fx)   width-2 %8.2f ms\n"
+      case walk_ms bit_ms (walk_ms /. bit_ms) par_ms;
     if Par_policy.hardware () >= 2 then
       check (case ^ ": width-2 beats serial on >=2 cores") (par_ms < bit_ms);
-    if gname = "hub" && nodes = 10_000 then speed10k := Some (sca_ms /. bit_ms)
+    if gname = "hub" && nodes = 10_000 then speed10k := Some (walk_ms /. bit_ms)
   in
   let sizes = if !quick then [ 200; 500 ] else [ 1_000; 10_000; 25_000 ] in
   List.iter
@@ -1648,7 +1646,7 @@ let e22 () =
       run_case g ~gname:"random_graph" ~query:"a.b*.c")
     sizes;
   (* The hub workload is where packing pays: every spoke crosses the same
-     dense core, so the scalar engine re-traverses it once per source
+     dense core, so a per-source walk re-traverses it once per source
      while the packed kernel crosses it once per 63-source block.  The
      10k-node instance anchors the headline speedup gate; the random
      rows above stay for continuity (sparse wavefronts barely overlap, so
@@ -1661,9 +1659,9 @@ let e22 () =
     hubs;
   (match !speed10k with
   | Some s ->
-      Printf.printf "  headline: packed kernel %.1fx scalar at 10k nodes (hub)\n"
+      Printf.printf "  headline: packed kernel %.1fx per-source walks at 10k nodes (hub)\n"
         s;
-      require "packed kernel is >= 5x the scalar indexed engine at 10k nodes"
+      require "packed kernel is >= 5x per-source walks at 10k nodes"
         (s >= 5.0)
   | None -> if not !quick then require "10k speedup measured" false);
   if !failures > 0 then begin
@@ -1714,7 +1712,7 @@ let e23 () =
     match Delta.parse_res text with Ok ops -> ops | Error _ -> assert false
   in
   let run_mode on_delta =
-    let cache = Rpq_compile.create ~enabled:true () in
+    let cache = Rpq_compile.create () in
     let lats = Array.make (rounds * nq) 0.0 in
     let ((answers, final_pg), counters), total_ms =
       oneshot_ms (fun () ->
@@ -2009,10 +2007,6 @@ let e25 () =
     if not ok then incr failures
   in
   let serial_pool = Pool.create ~size:1 () in
-  let with_kernel f =
-    Rpq_bitset.set_enabled true;
-    Fun.protect ~finally:Rpq_bitset.clear_enabled f
-  in
   let with_mode mode f =
     Rpq_bitset.set_pull_mode mode;
     Fun.protect ~finally:Rpq_bitset.clear_pull_mode f
@@ -2065,22 +2059,16 @@ let e25 () =
      assembly; the committed pre-streaming bitset-serial time on this
      exact workload is the fixed baseline the >= 2x gate points at. *)
   let committed_baseline_ms = 972.09 in
-  let n = if !quick then 2_000 else 25_000 in
+  let n = if !quick then 12_000 else 25_000 in
   let g =
     Generators.random_graph ~seed:11 ~nodes:n ~edges:(4 * n)
       ~labels:[ "a"; "b"; "c"; "d" ]
   in
   let nfa = Nfa.of_regex (Rpq_parse.parse "a.b*.c") in
-  let scalar_pairs =
-    Rpq_bitset.set_enabled false;
-    Fun.protect ~finally:Rpq_bitset.clear_enabled (fun () ->
-        Rpq_eval.pairs_nfa ~pool:serial_pool g nfa)
-  in
+  let reference = walk_pairs g nfa in
   let stream_run mode () =
-    with_kernel (fun () ->
-        with_mode mode (fun () ->
-            counted (fun obs ->
-                Rpq_eval.pairs_nfa ~pool:serial_pool ~obs g nfa)))
+    with_mode mode (fun () ->
+        counted (fun obs -> Rpq_eval.pairs_nfa ~pool:serial_pool ~obs g nfa))
   in
   let stream_report (label, _) ((pairs, counters), ms) =
     emit_row
@@ -2089,8 +2077,8 @@ let e25 () =
          n (4 * n) label (List.length pairs) ms (counters_json counters));
     Printf.printf "  stream %-9s %8.2f ms  (%d answers)\n" label ms
       (List.length pairs);
-    require (Printf.sprintf "stream %s answers = scalar answers" label)
-      (pairs = scalar_pairs);
+    require (Printf.sprintf "stream %s answers = walk answers" label)
+      (pairs = reference);
     require (Printf.sprintf "stream %s emission is counted" label)
       (materialized counters = List.length pairs);
     ms
@@ -2135,11 +2123,9 @@ let e25 () =
     best3_interleaved
       (List.map
          (fun (_, mode) () ->
-           with_kernel (fun () ->
-               with_mode mode (fun () ->
-                   counted (fun obs ->
-                       Rpq_count.count_answers ~pool:serial_pool ~obs dense
-                         closure))))
+           with_mode mode (fun () ->
+               counted (fun obs ->
+                   Rpq_count.count_answers ~pool:serial_pool ~obs dense closure)))
          modes)
   in
   let count_rows =

@@ -85,23 +85,20 @@ let materialize_memo ?pool ~obs gov g memo a dir =
       Hashtbl.add memo key pairs;
       pairs
 
-let homomorphisms_gov ?pool ?(obs = Obs.none) ?planner gov g q =
+let homomorphisms_gov ?pool ?(obs = Obs.none) ?(planner = true) gov g q =
   (* Plan the atom order, materialize what must be materialized, then
      join depth-first: one tick per candidate pair, one emit per
      completed assignment.  Depth-first matters for soundness of partial
      results — an assignment is reported only once it satisfies
      {e every} atom, so a tripped budget yields a subset of the true
-     answers, never a superset.  With the planner off ([GQ_PLAN=off] or
-     [~planner:false]) atoms run in query order, all materialized
-     forward — the baseline the planner is benchmarked against. *)
+     answers, never a superset.  With [~planner:false] atoms run in
+     query order, all materialized forward — the baseline the planner is
+     tested and benchmarked against. *)
   Obs.span obs "crpq.eval" @@ fun () ->
-  let use_planner =
-    match planner with Some b -> b | None -> Planner.enabled_from_env ()
-  in
   let memo = Hashtbl.create 8 in
   let execs =
     Obs.span obs "crpq.atoms" @@ fun () ->
-    if not use_planner then
+    if not planner then
       List.map
         (fun a ->
           Failpoint.check "crpq.join.atom";

@@ -23,15 +23,15 @@ val atoms : t -> atom list
     [?pool] parallelizes the per-atom RPQ materialization (see
     {!Rpq_eval.pairs}); the join itself stays serial.
 
-    [?planner] (default: [GQ_PLAN] ≠ ["off"]) selects the cost-based
-    plan: atoms are ordered by estimated selectivity via {!Planner}, and
-    an atom whose endpoint is already bound (by earlier atoms or a
-    constant) is evaluated as a per-binding BFS probe — forward from the
+    [?planner] (default [true]) selects the cost-based plan: atoms are
+    ordered by estimated selectivity via {!Planner}, and an atom whose
+    endpoint is already bound (by earlier atoms or a constant) is
+    evaluated as a per-binding BFS probe — forward from the
     bound source, or backward over the reversed graph from the bound
-    target — instead of materializing its full relation.  With the
-    planner off, atoms run in query order, all materialized.  Both modes
-    return identical answers (pinned by [test_plan] and
-    [make check-plan]).  Identical atom regexes are compiled and
+    target — instead of materializing its full relation.  With
+    [~planner:false], atoms run in query order, all materialized: the
+    left-to-right reference.  Both modes return identical answers
+    (pinned by [test_plan]).  Identical atom regexes are compiled and
     materialized once per query either way.
 
     [?obs] records [crpq.atom_pairs] (materialized pairs per atom),

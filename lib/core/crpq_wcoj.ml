@@ -65,11 +65,8 @@ let rec intersect l1 l2 =
 
 let term_vars = function Crpq.TVar x -> [ x ] | Crpq.TConst _ -> []
 
-let eval_with_stats_gov ?pool ?(obs = Obs.none) ?planner gov g q =
+let eval_with_stats_gov ?pool ?(obs = Obs.none) ?(planner = true) gov g q =
   Obs.span obs "wcoj.eval" @@ fun () ->
-  let use_planner =
-    match planner with Some b -> b | None -> Planner.enabled_from_env ()
-  in
   let atoms = Crpq.atoms q in
   let memo = Hashtbl.create 8 in
   let indexes =
@@ -79,7 +76,7 @@ let eval_with_stats_gov ?pool ?(obs = Obs.none) ?planner gov g q =
   (* Variable elimination order: the planner's first-appearance order
      along its selectivity-ordered atoms, or sorted names when off. *)
   let vars =
-    if use_planner then
+    if planner then
       let p_atoms = List.map Crpq.to_planner_atom atoms in
       Planner.variable_order p_atoms (Planner.plan (Stats.get g) p_atoms)
     else

@@ -17,10 +17,11 @@
 (** Same specification as {!Crpq.eval}.  [?pool] parallelizes the
     per-atom RPQ materialization; the generic join stays serial.
 
-    [?planner] (default: [GQ_PLAN] ≠ ["off"]) uses the {!Planner}'s
-    first-appearance order along its selectivity-ordered atoms as the
-    variable elimination order (sorted names when off); answers are
-    identical either way.  Identical atom regexes are compiled and
+    [?planner] (default [true]) uses the {!Planner}'s first-appearance
+    order along its selectivity-ordered atoms as the variable
+    elimination order; [~planner:false] sorts the names instead, the
+    reference the tests compare against.  Answers are identical either
+    way.  Identical atom regexes are compiled and
     materialized once per query.
 
     [?obs] records [wcoj.index_pairs] (pairs materialized per atom

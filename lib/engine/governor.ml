@@ -106,7 +106,7 @@ let rec emit t =
    results against the result cap in one CAS and returns the number
    admitted.  Unlike [emit], a prior *non-result* trip (steps, deadline)
    does not zero the batch: those answers were computed before the trip,
-   exactly like the scalar engine's answers emitted before its trip, and
+   exactly like answers [emit] admitted before the trip, and
    dropping them would make Partial payloads gratuitously empty.  The
    result cap itself stays exact, and a [Results]/[Cancelled] trip still
    admits nothing. *)

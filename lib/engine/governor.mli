@@ -79,8 +79,8 @@ val emit : t -> bool
     [Results] when it truncates the batch.  Unlike {!emit}, a prior
     steps/deadline trip does not zero the batch: block kernels discover
     answers before the trip stops them, and those already-computed facts
-    belong in the Partial payload just like the scalar engine's answers
-    emitted before its trip.  A [Results] or [Cancelled] trip admits
+    belong in the Partial payload just like answers {!emit} admitted
+    before the trip.  A [Results] or [Cancelled] trip admits
     nothing. *)
 val emit_many : t -> int -> int
 

@@ -26,33 +26,20 @@ type decision = {
 }
 
 (* Calibrated against the bit-parallel kernel: one work unit is one
-   relaxation (a scalar product-edge visit, or one word-sized sweep of a
-   span entry — both a handful of ns), and a domain spawn plus its GC
+   relaxation (a per-source product-edge visit, or one word-sized sweep
+   of a span entry — both a handful of ns), and a domain spawn plus its GC
    synchronization costs on the order of 100us.  500k units is roughly a
    millisecond of serial work, the point where forking starts to pay; the
-   old 2M default was tuned to the slower scalar kernel and left mid-size
+   old 2M default was tuned to a slower per-source engine and left mid-size
    bitset workloads serial on real hardware. *)
-let default_threshold = 500_000
-
-let threshold () =
-  match Sys.getenv_opt "GQ_PAR_THRESHOLD" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> default_threshold)
-  | None -> default_threshold
+let threshold = 500_000
 
 (* Forking below this many parallel grains per worker never amortizes
    the spawn + stop-the-world cost: a width-2 run over three bitset
    blocks leaves one worker idle half the time while both pay the GC
    synchronization.  The committed E22 rows where width 2 lost to serial
    all sit under this grain count. *)
-let default_min_units_per_worker = 4
-
-let min_units_per_worker () =
-  match Sys.getenv_opt "GQ_PAR_MIN_UNITS" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n -> max 1 n
-      | None -> default_min_units_per_worker)
-  | None -> default_min_units_per_worker
+let min_units_per_worker = 4
 
 (* Computed at module initialisation: serve workers decide widths from
    several domains at once, and concurrent forcing of a shared [Lazy.t]
@@ -80,30 +67,23 @@ let calib : (kernel * int, float) Hashtbl.t = Hashtbl.create 8
 let calib_min_work = 50_000
 let calib_min_elapsed = 1e-4
 
-let calibration_enabled () =
-  match Sys.getenv_opt "GQ_PAR_CALIBRATE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | Some _ | None -> true
-
 let units_of ~kernel ~sources =
   match kernel with Scalar -> sources | Bitset -> (sources + 62) / 63
 
 let record ?(kernel = Scalar) ~width ~sources ~product_edges ~elapsed () =
-  if calibration_enabled () then begin
-    let units = units_of ~kernel ~sources in
-    let work = units * max 1 product_edges in
-    if work >= calib_min_work && elapsed >= calib_min_elapsed then begin
-      let r = elapsed /. float_of_int work in
-      Mutex.lock calib_lock;
-      let key = (kernel, max 1 width) in
-      let r' =
-        match Hashtbl.find_opt calib key with
-        | Some prev -> (0.7 *. prev) +. (0.3 *. r)
-        | None -> r
-      in
-      Hashtbl.replace calib key r';
-      Mutex.unlock calib_lock
-    end
+  let units = units_of ~kernel ~sources in
+  let work = units * max 1 product_edges in
+  if work >= calib_min_work && elapsed >= calib_min_elapsed then begin
+    let r = elapsed /. float_of_int work in
+    Mutex.lock calib_lock;
+    let key = (kernel, max 1 width) in
+    let r' =
+      match Hashtbl.find_opt calib key with
+      | Some prev -> (0.7 *. prev) +. (0.3 *. r)
+      | None -> r
+    in
+    Hashtbl.replace calib key r';
+    Mutex.unlock calib_lock
   end
 
 let calibrated_rate ~kernel ~width =
@@ -129,7 +109,7 @@ let pinned ~width =
       width = max 1 width;
       units = 0;
       work = 0;
-      threshold = threshold ();
+      threshold;
       hardware = hardware ();
       reason = Pinned;
     }
@@ -139,12 +119,11 @@ let pinned ~width =
 
 let decide ?(obs = Obs.none) ?(kernel = Scalar) ?hardware:hw ~max_width ~sources
     ~product_edges () =
-  let threshold = threshold () in
   let hardware = match hw with Some h -> max 1 h | None -> hardware () in
   let sources = max 0 sources and product_edges = max 1 product_edges in
-  (* Parallel grain: the scalar kernel forks over sources, the bitset
-     kernel over 63-source blocks — work is units x product edges in
-     both, in comparable relaxation units. *)
+  (* Parallel grain: per-source engines ([Rpq_count]) fork over
+     sources, the bitset kernel over 63-source blocks — work is units x
+     product edges in both, in comparable relaxation units. *)
   let units = units_of ~kernel ~sources in
   (* Saturating multiply: sizes are far below sqrt(max_int), but keep it
      robust anyway. *)
@@ -158,7 +137,7 @@ let decide ?(obs = Obs.none) ?(kernel = Scalar) ?hardware:hw ~max_width ~sources
       let cap = min max_width hardware in
       if cap <= 1 then (1, Hardware_serial)
       else begin
-        let w = min cap (units / min_units_per_worker ()) in
+        let w = min cap (units / min_units_per_worker) in
         if w <= 1 then (1, Few_units)
         else
           match

@@ -3,11 +3,12 @@
     Forking domains pays a fixed cost (spawn, stop-the-world GC
     synchronization) that only amortizes when there is real work and
     real hardware.  The policy estimates work as [units x product edges]
-    — where a unit is one parallel grain: a source for the scalar
-    kernel, a 63-source block for the bitset kernel — and decides a fork
-    width: serial below the threshold ([GQ_PAR_THRESHOLD], default
-    500,000 relaxations, recalibrated against the bit-parallel kernel),
-    and never more domains than the machine has hardware threads.
+    — where a unit is one parallel grain: a source for a per-source
+    engine ({!Scalar}, used by path counting), a 63-source block for the
+    bitset kernel — and decides a fork width: serial below the
+    {!threshold} (500,000 relaxations, calibrated against the
+    bit-parallel kernel), and never more domains than the machine has
+    hardware threads.
 
     Every decision carries a {!reason}, is counted under
     [rpq.par_decision.<reason>] when a sink is supplied, and is recorded
@@ -23,11 +24,11 @@ type kernel = Scalar | Bitset
 
 (** Why the width came out the way it did. *)
 type reason =
-  | Below_threshold  (** estimated work under [GQ_PAR_THRESHOLD] *)
+  | Below_threshold  (** estimated work under {!threshold} *)
   | Hardware_serial  (** enough work, but 1 hardware thread / pool slot *)
   | Few_units
       (** enough work and hardware, but too few parallel grains to give
-          each worker [GQ_PAR_MIN_UNITS] of them *)
+          each worker {!min_units_per_worker} of them *)
   | Calibrated_serial
       (** measured runs ({!record}) show this width losing to serial *)
   | Parallel  (** width > 1 *)
@@ -44,8 +45,8 @@ type decision = {
   reason : reason;
 }
 
-(** [GQ_PAR_THRESHOLD], defaulting to 500,000; clamped to >= 1. *)
-val threshold : unit -> int
+(** Estimated work below which evaluation stays serial: 500,000. *)
+val threshold : int
 
 (** Cached [Domain.recommended_domain_count ()]. *)
 val hardware : unit -> int
@@ -53,7 +54,7 @@ val hardware : unit -> int
 (** [decide ~max_width ~sources ~product_edges ()] — width 1 when the
     estimated work is under the threshold, when only one hardware thread
     or pool slot is available, when there are fewer than
-    [GQ_PAR_MIN_UNITS] parallel grains per prospective worker, or when
+    {!min_units_per_worker} parallel grains per prospective worker, or when
     calibration ({!record}) measured the candidate width losing to
     serial; otherwise [min max_width hardware (units / min_units)].
     Bumps [rpq.par_decision.<reason>] on [obs] and records the decision
@@ -85,15 +86,14 @@ val note : decision -> unit
     source below the CLI layer). *)
 val now : unit -> float
 
-(** [GQ_PAR_MIN_UNITS] (default 4): parallel grains each worker must
-    receive before forking is worth it. *)
-val min_units_per_worker : unit -> int
+(** Parallel grains each worker must receive before forking is worth
+    it: 4. *)
+val min_units_per_worker : int
 
 (** [record ~width ~sources ~product_edges ~elapsed] — report a
     completed run; feeds the per-(kernel, width) seconds-per-work-unit
     EMA that {!decide} consults before keeping a parallel width.  Runs
-    under the work/time floor are ignored; [GQ_PAR_CALIBRATE=off]
-    disables recording. *)
+    under the work/time floor are ignored. *)
 val record :
   ?kernel:kernel ->
   width:int ->

@@ -7,18 +7,9 @@ type compiled = {
   symbols : string list;
 }
 
-type t = { store : (string * string, compiled) Lru.t; enabled : bool }
+type t = { store : (string * string, compiled) Lru.t }
 
-let enabled_from_env () =
-  match Sys.getenv_opt "GQ_PLAN_CACHE" with Some "off" -> false | _ -> true
-
-let create ?(capacity = 128) ?enabled () =
-  let enabled =
-    match enabled with Some b -> b | None -> enabled_from_env ()
-  in
-  { store = Lru.create ~capacity (); enabled }
-
-let enabled t = t.enabled
+let create ?(capacity = 128) () = { store = Lru.create ~capacity () }
 let shared = create ()
 
 let build ~flags ~source ast =
@@ -36,8 +27,6 @@ let build ~flags ~source ast =
    graph-dependent caches in Rpq_compile. *)
 let compile ?(obs = Obs.none) t ~flags ~parse text =
   let key = (flags, text) in
-  (* A disabled cache never stores, so the find never succeeds — but it
-     still counts, keeping the hit/miss counters an honest request log. *)
   match Lru.find t.store key with
   | Some c ->
       Obs.incr obs "plan.cache.hit";
@@ -47,7 +36,7 @@ let compile ?(obs = Obs.none) t ~flags ~parse text =
       Result.map
         (fun ast ->
           let c = build ~flags ~source:text ast in
-          if t.enabled then Lru.add t.store ~gen:0 key c;
+          Lru.add t.store ~gen:0 key c;
           c)
         (parse text)
 
@@ -58,7 +47,7 @@ let compile_ast ?obs t re =
   | Error _ -> assert false (* parse is total here *)
 
 let was_cached t ~flags text =
-  t.enabled && Option.is_some (Lru.peek t.store (flags, text))
+  Option.is_some (Lru.peek t.store (flags, text))
 
 let length t = Lru.length t.store
 let hits t = Lru.hits t.store

@@ -1,4 +1,4 @@
-(** The query compilation cache (tentpole of ISSUE 5).
+(** The query compilation cache.
 
     Maps (query text, semantics flags) to everything the engines need to
     evaluate an RPQ: the parsed AST, its Glushkov NFA, a lazily
@@ -6,11 +6,7 @@
     mentions).  These artifacts depend only on the query, never on the
     graph, so they survive [load]; graph-dependent artifacts (products,
     reversed graphs) live in [Rpq_compile] and are invalidated by
-    generation.
-
-    Disabled caches ([enabled = false], or [GQ_PLAN_CACHE=off] for the
-    {!shared} instance) still compile — they just never store, so every
-    request is a miss.  That is what [make check-plan] exercises. *)
+    generation. *)
 
 type compiled = {
   source : string;  (** canonical key text (concrete syntax or rendered AST) *)
@@ -23,16 +19,8 @@ type compiled = {
 
 type t
 
-(** [create ()] — [capacity] defaults to 128 entries; [enabled] defaults
-    to the [GQ_PLAN_CACHE] environment variable (anything but ["off"]
-    enables). *)
-val create : ?capacity:int -> ?enabled:bool -> unit -> t
-
-(** Is the cache storing results? *)
-val enabled : t -> bool
-
-(** [GQ_PLAN_CACHE] is not ["off"]. *)
-val enabled_from_env : unit -> bool
+(** [create ()] — [capacity] defaults to 128 entries. *)
+val create : ?capacity:int -> unit -> t
 
 (** Process-wide instance used by the one-shot CLI paths. *)
 val shared : t

@@ -13,9 +13,6 @@ type atom_plan = {
 
 type t = { order : atom_plan list }
 
-let enabled_from_env () =
-  match Sys.getenv_opt "GQ_PLAN" with Some "off" -> false | _ -> true
-
 let sym_of = function
   | Sym.Lbl a -> Stats.Lbl a
   | Sym.Any -> Stats.Any

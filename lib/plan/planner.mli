@@ -7,7 +7,7 @@
     intermediate first, dividing estimates by already-bound endpoints
     and penalizing cross products.  Estimates are heuristics: they only
     steer ordering, never correctness (planned and default evaluation
-    must agree, which [test_plan] and [make check-plan] pin). *)
+    must agree, which [test_plan] pins against left-to-right order). *)
 
 type endpoint = Var of string | Const of string
 
@@ -29,9 +29,6 @@ type atom_plan = {
 }
 
 type t = { order : atom_plan list  (** chosen execution order *) }
-
-(** [GQ_PLAN] is not ["off"]. *)
-val enabled_from_env : unit -> bool
 
 (** Cardinality/source/target estimate for one regex on the graph
     described by the statistics. *)

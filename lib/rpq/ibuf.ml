@@ -1,7 +1,6 @@
-(* Growable flat int buffer, shared by the RPQ engines: answers are
-   collected as [u * n + v] codes (or plain node ids), appended without
-   allocation in the hot loop and consumed in bulk at the end.  Extracted
-   from [Rpq_eval] so the bitset kernel can reuse it. *)
+(* Growable flat int buffer for the bitset kernel: answers are collected
+   as [u * n + v] codes (or plain node ids), appended without allocation
+   in the hot loop and consumed in bulk at the end. *)
 
 type t = { mutable data : int array; mutable len : int }
 
@@ -17,10 +16,6 @@ let push b x =
   b.len <- b.len + 1
 
 let clear b = b.len <- 0
-let length b = b.len
-let get b i = b.data.(i)
-
-let to_array b = Array.sub b.data 0 b.len
 let sub b k = Array.sub b.data 0 (min k b.len)
 
 (* Bulk-write protocol for hot emission loops: [reserve b k] grows the
@@ -41,24 +36,3 @@ let reserve b k =
   b.data
 
 let set_len b n = b.len <- n
-
-let append dst src =
-  let need = dst.len + src.len in
-  if need > Array.length dst.data then begin
-    let cap = ref (max 64 (Array.length dst.data)) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let d = Array.make !cap 0 in
-    Array.blit dst.data 0 d 0 dst.len;
-    dst.data <- d
-  end;
-  Array.blit src.data 0 dst.data dst.len src.len;
-  dst.len <- need
-
-(* The contents as a fresh ascending array — per-source target lists are
-   tiny, so a straight sort beats anything clever. *)
-let sorted_array b =
-  let a = to_array b in
-  Array.sort (fun (x : int) y -> Stdlib.compare x y) a;
-  a

@@ -1,8 +1,8 @@
 (** Growable flat int buffer for answer codes and scratch lists.
 
-    Used by both the scalar and the bit-parallel RPQ kernels: pushes are
-    amortized O(1) with no per-element allocation, and the contents are
-    consumed in bulk ([to_array] / [sorted_array]) once a run finishes. *)
+    Used by the bit-parallel RPQ kernel: pushes are amortized O(1) with
+    no per-element allocation, and the contents are consumed in bulk
+    ([data] / {!sub}) once a run finishes. *)
 
 type t = { mutable data : int array; mutable len : int }
 
@@ -12,27 +12,14 @@ val push : t -> int -> unit
 (** Forget the contents (capacity is kept). *)
 val clear : t -> unit
 
-val length : t -> int
-val get : t -> int -> int
-
-(** Fresh array of the first [length] elements. *)
-val to_array : t -> int array
-
-(** [sub b k] — fresh array of the first [min k (length b)] elements
+(** [sub b k] — fresh array of the first [min k len] elements
     (the admitted prefix of a target buffer). *)
 val sub : t -> int -> int array
 
-(** [append dst src] — bulk blit of [src]'s contents onto [dst]; one
-    capacity check per call instead of one per element. *)
-val append : t -> t -> unit
-
-(** [reserve b k] — ensure capacity for [length b + k] elements and
+(** [reserve b k] — ensure capacity for [len + k] elements and
     return the backing array: the bulk-write protocol for hot emission
-    loops.  Write [data.(length b) ..] directly, then {!set_len}. *)
+    loops.  Write [data.(len) ..] directly, then {!set_len}. *)
 val reserve : t -> int -> int array
 
 (** Commit writes made through {!reserve}. *)
 val set_len : t -> int -> unit
-
-(** Like {!to_array}, sorted ascending. *)
-val sorted_array : t -> int array

@@ -16,13 +16,12 @@
    compares the frontier's out-edge volume against the out-edge volume
    still unexplored: pull pays when the frontier is a constant fraction
    of the graph, which on RPQ products happens on closure-style starred
-   queries where whole levels saturate.  [GQ_PULL_THRESHOLD] tunes the
-   ratio or pins a direction; per-level decisions are visible as
-   [rpq.bitset.push_sweeps] / [pull_sweeps] / [switches].
+   queries where whole levels saturate.  Per-level decisions are visible
+   as [rpq.bitset.push_sweeps] / [pull_sweeps] / [switches].
 
    Budgets: one [Governor.tick_many] per adjacency span scanned
    (either direction), answers pass [Governor.emit_many] — the same
-   soundness contract as the scalar engine.  [visited] bits are true
+   soundness contract as every other engine.  [visited] bits are true
    reachability facts whatever the interleaving or direction, so a
    budget trip mid-run still yields a sound Partial subset.
 
@@ -41,23 +40,6 @@
 
 let word_bits = 63
 
-(* --- GQ_BITSET escape hatch --------------------------------------------- *)
-
-let enabled_override : bool option Atomic.t = Atomic.make None
-
-let enabled_from_env () =
-  match Sys.getenv_opt "GQ_BITSET" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | Some _ | None -> true
-
-let enabled () =
-  match Atomic.get enabled_override with
-  | Some b -> b
-  | None -> enabled_from_env ()
-
-let set_enabled b = Atomic.set enabled_override (Some b)
-let clear_enabled () = Atomic.set enabled_override None
-
 (* --- push/pull policy ---------------------------------------------------- *)
 
 type pull_mode = Adaptive of int | Always_push | Always_pull
@@ -69,26 +51,14 @@ type pull_mode = Adaptive of int | Always_push | Always_pull
    early-exit saving of the gather loop is accounted for. *)
 let default_pull_alpha = 12
 
-let pull_mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "push" | "off" | "never" | "0" -> Always_push
-  | "pull" | "always" -> Always_pull
-  | s -> (
-      match int_of_string_opt s with
-      | Some a -> Adaptive (max 1 a)
-      | None -> Adaptive default_pull_alpha)
-
+(* Pinned only by the differential tests and bench E25, which run push
+   and pull as references for the adaptive default. *)
 let pull_override : pull_mode option Atomic.t = Atomic.make None
-
-let pull_mode_from_env () =
-  match Sys.getenv_opt "GQ_PULL_THRESHOLD" with
-  | Some s -> pull_mode_of_string s
-  | None -> Adaptive default_pull_alpha
 
 let pull_mode () =
   match Atomic.get pull_override with
   | Some m -> m
-  | None -> pull_mode_from_env ()
+  | None -> Adaptive default_pull_alpha
 
 let set_pull_mode m = Atomic.set pull_override (Some m)
 let clear_pull_mode () = Atomic.set pull_override None
@@ -264,8 +234,7 @@ let run_block ?stop gov st product sc ~cand ~lo ~hi ~mode =
   | Some f -> if f () then running := false
   | None -> ());
   while !running && (!cur).Ibuf.len > 0 do
-    (* Same injection site as the scalar engine, at comparable density:
-       once per level sweep; one branch when disarmed. *)
+    (* One injection site per level sweep; one branch when disarmed. *)
     Failpoint.check "rpq.bfs.step";
     let use_pull =
       match policy with

@@ -16,39 +16,25 @@
     answered-bitmap walk) — per-source target buffers come out ascending
     and per-block outputs concatenate into the globally sorted answer
     list with no sort.  {!count_pairs} and {!check} never materialize
-    answers at all.
-
-    On by default; [GQ_BITSET=off] (or {!set_enabled}[ false]) reverts
-    every multi-source entry point to the scalar stamped-array engine —
-    the parity escape hatch that [make check-bitset] exercises. *)
+    answers at all. *)
 
 val word_bits : int
 (** Sources per word (63: an OCaml native int). *)
-
-(** {1 Kernel gate} *)
-
-val enabled : unit -> bool
-(** Runtime override if set, else [GQ_BITSET] (default: on). *)
-
-val set_enabled : bool -> unit
-val clear_enabled : unit -> unit
 
 (** {1 Push/pull policy} *)
 
 (** [Adaptive alpha] pulls on a level when
     [alpha * frontier_out_edges >= unexplored_out_edges + product_states];
-    [Always_push]/[Always_pull] pin the direction (differential tests,
-    [make check-kernel]). *)
+    [Always_push]/[Always_pull] pin the direction: the references the
+    differential tests and bench E25 compare the adaptive default against. *)
 type pull_mode = Adaptive of int | Always_push | Always_pull
 
 val default_pull_alpha : int
 
 val pull_mode : unit -> pull_mode
-(** Runtime override if set, else [GQ_PULL_THRESHOLD]: ["push"]/["off"]
-    pins push, ["pull"]/["always"] pins pull, an integer sets the
-    adaptive ratio (default {!default_pull_alpha}). *)
+(** The pinned mode if {!set_pull_mode} set one, else
+    [Adaptive default_pull_alpha]. *)
 
-val pull_mode_of_string : string -> pull_mode
 val set_pull_mode : pull_mode -> unit
 val clear_pull_mode : unit -> unit
 

@@ -14,27 +14,18 @@ type t = {
   reversed : (int, Elg.t) Lru.t;
   gen : int Atomic.t; (* last graph id seen by set_generation *)
   gen_lock : Mutex.t; (* serializes generation bumps against each other *)
-  enabled : bool;
   by_label : int Atomic.t; (* entries dropped because labels intersected a delta *)
   retained : int Atomic.t; (* entries migrated across a delta *)
 }
 
-let create ?(capacity = 64) ?enabled ?plans () =
-  let enabled =
-    match enabled with Some b -> b | None -> Plan_cache.enabled_from_env ()
-  in
-  let plans =
-    match plans with
-    | Some p -> p
-    | None -> Plan_cache.create ~enabled ()
-  in
+let create ?(capacity = 64) ?plans () =
+  let plans = match plans with Some p -> p | None -> Plan_cache.create () in
   {
     plans;
     products = Lru.create ~capacity ();
     reversed = Lru.create ~capacity:(max 4 (capacity / 8)) ();
     gen = Atomic.make (-1);
     gen_lock = Mutex.create ();
-    enabled;
     by_label = Atomic.make 0;
     retained = Atomic.make 0;
   }
@@ -51,11 +42,11 @@ let key_of (c : Plan_cache.compiled) = c.flags ^ ":" ^ c.source
 
 let reversed_graph t g =
   let gid = Elg.id g in
-  match if t.enabled then Lru.find t.reversed gid else None with
+  match Lru.find t.reversed gid with
   | Some rg -> rg
   | None ->
       let rg = Elg.reverse g in
-      if t.enabled then Lru.add t.reversed ~gen:gid gid rg;
+      Lru.add t.reversed ~gen:gid gid rg;
       rg
 
 (* [Sym.mentioned] is empty for [Any] and lists the excluded labels for
@@ -69,7 +60,7 @@ let wildcard (c : Plan_cache.compiled) =
 let product ?(obs = Obs.none) ?(rev = false) t g (c : Plan_cache.compiled) =
   let gid = Elg.id g in
   let key = (gid, key_of c, rev) in
-  match if t.enabled then Lru.find t.products key else None with
+  match Lru.find t.products key with
   | Some e ->
       Obs.incr obs "plan.product.hit";
       e.prod
@@ -81,16 +72,15 @@ let product ?(obs = Obs.none) ?(rev = false) t g (c : Plan_cache.compiled) =
             (Nfa.of_regex (Regex.reverse c.ast))
         else Product.make ~obs g c.nfa
       in
-      if t.enabled then
-        Lru.add t.products ~gen:gid key
-          { prod = p; psyms = c.symbols; pwild = wildcard c };
+      Lru.add t.products ~gen:gid key
+        { prod = p; psyms = c.symbols; pwild = wildcard c };
       p
 
 let product_rev ?obs t g c = product ?obs ~rev:true t g c
 let product ?obs t g c = product ?obs ~rev:false t g c
 
 let product_cached t g c =
-  t.enabled && Option.is_some (Lru.peek t.products (Elg.id g, key_of c, false))
+  Option.is_some (Lru.peek t.products (Elg.id g, key_of c, false))
 
 (* Serialized: two concurrent loads must not interleave their drops, or
    a cache could keep products of a graph that is no longer current.  A
@@ -186,12 +176,9 @@ let transpose_sorted ~n ps =
   done;
   !acc
 
-let pairs_bounded ?pool ?(obs = Obs.none) ?planner t gov g c =
-  let use_planner =
-    match planner with Some b -> b | None -> Planner.enabled_from_env ()
-  in
+let pairs_bounded ?pool ?(obs = Obs.none) ?(planner = true) t gov g c =
   let dir =
-    if use_planner then Planner.direction_of (Stats.get g) c.Plan_cache.ast
+    if planner then Planner.direction_of (Stats.get g) c.Plan_cache.ast
     else Planner.Forward
   in
   match dir with
@@ -214,32 +201,13 @@ let from_source_bounded ?(obs = Obs.none) _t gov g (c : Plan_cache.compiled)
   Governor.seal gov kept
 
 (* One compiled query, many sources, one evaluation: the serve-mode
-   batching path.  Under the bitset kernel all sources run as one packed
-   multi-source traversal over the cached product; the scalar fallback
-   walks each source on the fly.  Either way the governor spans the
-   whole batch, so budgets cover the coalesced run, not each member. *)
+   batching path.  All sources run as one packed multi-source traversal
+   over the cached product, and the governor spans the whole batch, so
+   budgets cover the coalesced run, not each member. *)
 let from_source_batch ?pool ?(obs = Obs.none) t gov g c ~srcs =
   Obs.span obs "rpq.eval" @@ fun () ->
-  let out =
-    if Rpq_bitset.enabled () then
-      Rpq_bitset.targets ~obs ?pool gov (product ~obs t g c) ~sources:srcs
-    else begin
-      let w = Rpq_walk.make g c.Plan_cache.nfa in
-      let res =
-        Array.map
-          (fun src ->
-            if Governor.ok gov then
-              Array.of_list
-                (Governor.take_results gov (Rpq_walk.targets ~obs gov w ~src))
-            else [||])
-          srcs
-      in
-      Obs.add obs "rpq.answers"
-        (Array.fold_left (fun a l -> a + Array.length l) 0 res);
-      res
-    end
-  in
-  Governor.seal gov out
+  Governor.seal gov
+    (Rpq_bitset.targets ~obs ?pool gov (product ~obs t g c) ~sources:srcs)
 
 (* Distinct-pair counting through the caches: the planner direction
    choice is irrelevant (|⟦c⟧_g| is symmetric), so always forward —

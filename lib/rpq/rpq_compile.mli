@@ -9,17 +9,14 @@
     skip parse, Glushkov, and product construction entirely; E20
     measures the resulting speedup.  Single-source requests use only the
     query-only artifacts: they walk the product on the fly instead.
-
-    When [GQ_PLAN_CACHE=off] (or [enabled:false]) nothing is stored and
-    every request recompiles — used by [make check-plan] to pin that
-    caching never changes answers. *)
+    Cached answers are pinned equal to cold evaluation against fresh
+    caches by the test suite. *)
 
 type t
 
 (** [create ()] — [capacity] bounds the product/reversed-graph caches
-    (default 64); [enabled]/[plans] default to a fresh
-    {!Plan_cache.create} honoring [GQ_PLAN_CACHE]. *)
-val create : ?capacity:int -> ?enabled:bool -> ?plans:Plan_cache.t -> unit -> t
+    (default 64); [plans] defaults to a fresh {!Plan_cache.create}. *)
+val create : ?capacity:int -> ?plans:Plan_cache.t -> unit -> t
 
 (** Process-wide instance (shares {!Plan_cache.shared}). *)
 val shared : t
@@ -91,10 +88,10 @@ val retained : t -> int
 (** {1 Cached evaluation} *)
 
 (** [pairs_bounded t gov g c] — ⟦c⟧_g through the caches, picking the
-    evaluation direction with the planner (unless [GQ_PLAN=off] or
-    [planner:false]): backward evaluation runs the reversed product and
-    swaps the pairs back.  Answers are always identical to
-    {!Rpq_eval.pairs_bounded}. *)
+    evaluation direction with the planner: backward evaluation runs the
+    reversed product and swaps the pairs back.  [~planner:false] always
+    runs forward — the reference the tests compare against.  Answers are
+    always identical to {!Rpq_eval.pairs_bounded}. *)
 val pairs_bounded :
   ?pool:Pool.t -> ?obs:Obs.t -> ?planner:bool ->
   t -> Governor.t -> Elg.t -> Plan_cache.compiled ->
@@ -112,8 +109,8 @@ val from_source_bounded :
 (** [from_source_batch t gov g c ~srcs] — reachable targets for every
     source in [srcs], as one evaluation: the bitset kernel packs the
     whole batch into one multi-source traversal over the cached product
-    (serve-mode request coalescing), the scalar fallback walks each
-    source on the fly ({!Rpq_walk}).  [srcs.(i)]'s targets are at index [i], sorted ascending —
+    (serve-mode request coalescing).  [srcs.(i)]'s targets are at index
+    [i], sorted ascending —
     each row sliced straight from the kernel's per-source emission
     buffer (no list rebuild).  One governor spans the batch. *)
 val from_source_batch :

@@ -9,22 +9,25 @@
     {!Governor.unlimited}.
 
     Multi-source entry points ([pairs], [pairs_nfa] and their bounded
-    forms) take an optional [?pool]: when given, source nodes are
-    chunked across that {!Pool}'s domains; when omitted, the default
-    pool is used but only once the estimated work (sources × product
-    edges) is large enough to amortize domain spawns.  Results are
+    forms) run the bit-parallel kernel ({!Rpq_bitset}) and take an
+    optional [?pool]: when given, 63-source blocks are distributed
+    across that {!Pool}'s domains; when omitted, the default pool is
+    used but only once the estimated work (blocks × product edges) is
+    large enough to amortize domain spawns.  Results are
     identical to serial evaluation; under a result budget the kept
     subset may differ across widths but stays within the
     Complete/Partial contract.
 
     Every entry point also takes an optional [?obs] telemetry sink
-    (default {!Obs.none}, one branch of cost): BFS engines record
-    [rpq.product_transitions], [rpq.states_visited], [rpq.sources] and
-    [rpq.answers], and run inside [rpq.eval] / [rpq.bfs] / [rpq.merge]
-    spans (plus whatever {!Product.make} and {!Pool} record). *)
+    (default {!Obs.none}, one branch of cost): multi-source entry
+    points record [rpq.sources], [rpq.states_visited], [rpq.answers]
+    and the kernel's [rpq.bitset.*] counters inside [rpq.eval] /
+    [rpq.bfs] / [rpq.merge] spans; single-source walks record
+    [rpq.product_transitions] instead of the [rpq.bitset.*] counters
+    (plus whatever {!Product.make} and {!Pool} record). *)
 
-(** [pairs g r] computes ⟦R⟧_G (Example 12).  Polynomial:
-    one product-graph BFS per source node. *)
+(** [pairs g r] computes ⟦R⟧_G (Example 12).  Polynomial: one
+    level-synchronous product-graph BFS per block of 63 source nodes. *)
 val pairs : ?pool:Pool.t -> ?obs:Obs.t -> Elg.t -> Sym.t Regex.t -> (int * int) list
 
 val pairs_bounded :
@@ -40,9 +43,10 @@ val from_source_bounded :
   ?obs:Obs.t ->
   Governor.t -> Elg.t -> Sym.t Regex.t -> src:int -> int list Governor.outcome
 
-(** Membership of a single pair.  Early-exits: the product BFS stops at
-    the first accepting [(tgt, q)] state instead of computing the full
-    reachable set. *)
+(** Membership of a single pair.  Early-exits: the kernel's probe
+    ({!Rpq_bitset.check}) stops at the first level that reaches an
+    accepting [(tgt, q)] state instead of computing the full reachable
+    set. *)
 val check : Elg.t -> Sym.t Regex.t -> src:int -> tgt:int -> bool
 
 val check_bounded :
@@ -67,9 +71,9 @@ val pairs_product_bounded :
   Governor.t -> Product.t -> (int * int) list Governor.outcome
 
 (** Stream the answers of a prebuilt product in globally sorted order
-    without building the pair list: [f acc u v] per answer.  Under the
-    bitset kernel the fold walks the per-block emission buffers in
-    place, so allocation beyond them is whatever [f] does. *)
+    without building the pair list: [f acc u v] per answer.  The fold
+    walks the kernel's per-block emission buffers in place, so
+    allocation beyond them is whatever [f] does. *)
 val fold_pairs_product_gov :
   ?pool:Pool.t -> ?obs:Obs.t ->
   Governor.t -> Product.t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a

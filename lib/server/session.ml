@@ -694,7 +694,7 @@ let cmd_set sess id key value =
 let plan_cache_fields cache =
   let plans = Rpq_compile.plans cache in
   [
-    ("enabled", jbool (Plan_cache.enabled plans));
+    ("enabled", jbool true);
     ("compiled", jint (Plan_cache.length plans));
     ("hits", jint (Plan_cache.hits plans));
     ("misses", jint (Plan_cache.misses plans));
@@ -745,12 +745,11 @@ let cmd_stats sess id =
               (fun (site, p) -> (site, jstr (Failpoint.policy_to_string p)))
               (Failpoint.armed ())) );
        ("plan", jobj (plan_cache_fields sess.shared.cache));
-       (* The parallelism decision in force: kernel gate plus the last
-          width the policy (or a pinning caller) chose. *)
+       (* The parallelism decision in force: the multi-source kernel plus
+          the last width the policy (or a pinning caller) chose. *)
        ( "par",
          jobj
-           (( "kernel",
-              jstr (if Rpq_bitset.enabled () then "bitset" else "scalar") )
+           (("kernel", jstr "bitset")
            ::
            (match Par_policy.last () with
            | None -> []
@@ -816,13 +815,8 @@ let plan_fields ?(obs = Obs.none) cache g text =
         Ok
           [
             ("kind", jstr "crpq");
-            ("planner", jbool (Planner.enabled_from_env ()));
-            ( "cache",
-              jobj
-                [
-                  ( "enabled",
-                    jbool (Plan_cache.enabled (Rpq_compile.plans cache)) );
-                ] );
+            ("planner", jbool true);
+            ("cache", jobj [ ("enabled", jbool true) ]);
             ( "order",
               jarr
                 (List.map (fun (ap, _) -> jint ap.Planner.index) plans) );
@@ -854,12 +848,8 @@ let plan_fields ?(obs = Obs.none) cache g text =
         let e = Planner.estimate st c.Plan_cache.ast in
         let dir = Planner.direction_of st c.Plan_cache.ast in
         let pe = est_product_edges st c.Plan_cache.nfa in
-        let kernel =
-          if Rpq_bitset.enabled () then Par_policy.Bitset
-          else Par_policy.Scalar
-        in
         let d =
-          Par_policy.decide ~kernel
+          Par_policy.decide ~kernel:Par_policy.Bitset
             ~max_width:(Pool.size (Pool.default ()))
             ~sources:(int_of_float e.Planner.sources)
             ~product_edges:pe ()
@@ -867,7 +857,7 @@ let plan_fields ?(obs = Obs.none) cache g text =
         Ok
           ([
              ("kind", jstr "rpq");
-             ("planner", jbool (Planner.enabled_from_env ()));
+             ("planner", jbool true);
              ( "cache",
                jobj
                  [
@@ -881,11 +871,7 @@ let plan_fields ?(obs = Obs.none) cache g text =
               ( "parallel",
                 jobj
                   [
-                    ( "kernel",
-                      jstr
-                        (match kernel with
-                        | Par_policy.Bitset -> "bitset"
-                        | Par_policy.Scalar -> "scalar") );
+                    ("kernel", jstr "bitset");
                     ("width", jint d.Par_policy.width);
                     ("work", jint d.Par_policy.work);
                     ("threshold", jint d.Par_policy.threshold);

@@ -275,21 +275,13 @@ let empty_recovery =
    [Pg.apply_delta_res] gives batches sequential semantics (an op sees
    the effects of every earlier op, within and across record boundaries),
    so the recovered state is identical to per-record replay — pinned by
-   test_wal.  [GQ_WAL_COALESCE=off] forces the per-record path (also the
-   fallback whenever a batched apply fails, so errors still name the
-   exact LSN). *)
-let coalesce_from_env () =
-  match Sys.getenv_opt "GQ_WAL_COALESCE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | Some _ | None -> true
-
+   test_wal.  Per-record replay is the fallback whenever a batched apply
+   fails, so errors still name the exact LSN; [~coalesce:false] forces
+   it, as test_wal's reference. *)
 (* Internal recovery, also returning the valid byte length and record
    count of the current segment so [open_res] can truncate a torn tail
    and resume its rotation-threshold bookkeeping. *)
-let recover_internal ?coalesce dir =
-  let coalesce =
-    match coalesce with Some b -> b | None -> coalesce_from_env ()
-  in
+let recover_internal ?(coalesce = true) dir =
   if not (Sys.file_exists dir) then Ok (empty_recovery, 0, 0)
   else
     let* cps, segs = list_gens dir in

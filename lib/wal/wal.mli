@@ -66,9 +66,9 @@ type recovery = {
     batch — one counting-pass CSR rebuild per segment instead of one per
     record.  Batches have sequential semantics, so the recovered state
     is identical to per-record replay; a failing batch is re-run record
-    by record so the error names the exact LSN.  [?coalesce] (default:
-    on unless [GQ_WAL_COALESCE=off]) pins the strategy — tests pin
-    batched == per-record with it. *)
+    by record so the error names the exact LSN.  [~coalesce:false]
+    (default [true]) replays record by record throughout — the
+    reference the tests pin batched replay against. *)
 val recover_res : ?coalesce:bool -> string -> (recovery, Gq_error.t) result
 
 (** Open a WAL directory for serving: runs recovery, truncates a torn

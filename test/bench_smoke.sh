@@ -24,8 +24,8 @@ if grep -v '^{"span":".*","domain":[0-9]*,"depth":[0-9]*,"start_s":[0-9.]*,"end_
 fi
 
 # E22 is fatal on any disagreement between the packed kernel (serial or
-# width-2) and the scalar indexed engine, so a zero exit is itself the
-# parity gate; additionally pin that the rows carry the packed-kernel
+# width-2) and one on-the-fly walk per source, so a zero exit is itself
+# the parity gate; additionally pin that the rows carry the packed-kernel
 # counters and a genuine width-2 row.
 "$BENCH" E22 --quick > "$tmp/e22.out"
 
@@ -37,11 +37,11 @@ grep -q '"graph":"hub".*"engine":"bitset-serial"' "$tmp/e22.out" \
   || { echo "bench-smoke: E22 is missing the hub workload" >&2; exit 1; }
 
 # E25 is fatal on answer equality between push, pull, adaptive and the
-# scalar engine, on the count-only O(blocks) pin, and on the policy
+# per-source walks, on the count-only O(blocks) pin, and on the policy
 # gating cases, so a zero exit is itself the gate; additionally pin the
 # row shapes and — since E25 shares the kernel with E22 — a fatal
 # no-regression gate on the E22 hub row measured above: the packed
-# kernel must still beat the scalar engine on the hub workload.
+# kernel must still beat the per-source walks on the hub workload.
 "$BENCH" E25 --quick > "$tmp/e25.out"
 
 grep -q '"phase":"stream","graph":"random_graph".*"mode":"push".*"rpq.bitset.materialized":[1-9]' "$tmp/e25.out" \
@@ -61,20 +61,20 @@ grep -q '"phase":"persistence","format":"binary"' "$tmp/e25.out" \
   || { echo "bench-smoke: E25 emitted no binary persistence row" >&2; exit 1; }
 
 hub_regressed=$(awk '
-  /"graph":"hub"/ && /"engine":"scalar-serial"/ {
+  /"graph":"hub"/ && /"engine":"walk-serial"/ {
     if (match($0, /"elapsed_ms":[0-9.]+/))
-      scalar = substr($0, RSTART + 13, RLENGTH - 13)
+      walk = substr($0, RSTART + 13, RLENGTH - 13)
   }
   /"graph":"hub"/ && /"engine":"bitset-serial"/ {
     if (match($0, /"elapsed_ms":[0-9.]+/))
       bitset = substr($0, RSTART + 13, RLENGTH - 13)
   }
   END {
-    if (scalar == "" || bitset == "") { print "missing"; exit }
-    if (bitset + 0 < scalar + 0) print "ok"; else print "regressed"
+    if (walk == "" || bitset == "") { print "missing"; exit }
+    if (bitset + 0 < walk + 0) print "ok"; else print "regressed"
   }' "$tmp/e22.out")
 [ "$hub_regressed" = "ok" ] \
-  || { echo "bench-smoke: E22 hub row regressed ($hub_regressed): packed kernel no longer beats scalar" >&2; exit 1; }
+  || { echo "bench-smoke: E22 hub row regressed ($hub_regressed): packed kernel no longer beats walk-serial" >&2; exit 1; }
 
 # E20 enforces its own fatal checks: warm-cache answers equal cold,
 # warm >= 3x faster, planner answers equal left-to-right, planner faster

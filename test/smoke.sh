@@ -90,19 +90,11 @@ run_expect 0 "$GQD" query "$tmp/bank.graph" \
   'MATCH (x:Account)-[:Transfer]->(y) RETURN x.owner, y.owner'
 check_golden query.out "$tmp/out"
 
-# --metrics: the counter summary is deterministic on a serial run.  The
-# kernel is pinned because the packed and scalar engines count different
-# work (span sweeps vs per-source pushes) and `make check-bitset` re-runs
-# this suite under both GQ_BITSET settings; each kernel has its own golden.
-run_expect 0 env GQ_BITSET=on GQ_PULL_THRESHOLD= "$GQD" rpq "$tmp/bank.graph" 'Transfer.Transfer*' \
+# --metrics: the counter summary is deterministic on a serial run.
+run_expect 0 "$GQD" rpq "$tmp/bank.graph" 'Transfer.Transfer*' \
   --metrics --domains 1
 check_golden rpq_pairs.out "$tmp/out"
 check_golden metrics.err "$tmp/err"
-
-run_expect 0 env GQ_BITSET=off GQ_PULL_THRESHOLD= "$GQD" rpq "$tmp/bank.graph" 'Transfer.Transfer*' \
-  --metrics --domains 1
-check_golden rpq_pairs.out "$tmp/out"
-check_golden metrics_scalar.err "$tmp/err"
 
 # --trace-json: every line is a JSON object with the span fields.
 run_expect 0 "$GQD" rpq "$tmp/bank.graph" 'Transfer.Transfer*' \
@@ -118,9 +110,7 @@ fi
 # Golden transcripts, run from inside $tmp so file paths in replies are
 # relative and stable.  Each session pins GQ_FAILPOINTS itself (including
 # pinning it empty) so the transcripts hold under `make check-faults`,
-# which runs the whole suite with an ambient fault schedule, and pins
-# GQ_BITSET=on GQ_PULL_THRESHOLD= because partial payloads and the `stats` kernel field are
-# kernel-sensitive and `make check-bitset` re-runs the suite with it off.
+# which runs the whole suite with an ambient fault schedule.
 GQD_ABS=$(cd "$(dirname "$GQD")" && pwd)/$(basename "$GQD")
 
 printf 'node n1 N\nfrobnicate x y\n' > "$tmp/bad.graph"
@@ -143,7 +133,7 @@ rpq-from a1 Transfer*
 quit
 EOF
 set +e
-(cd "$tmp" && GQ_FAILPOINTS="serve.eval=every:2" GQ_BITSET=on GQ_PULL_THRESHOLD= "$GQD_ABS" --serve \
+(cd "$tmp" && GQ_FAILPOINTS="serve.eval=every:2" "$GQD_ABS" --serve \
   < serve_faults.in > serve_faults.out 2> serve_faults.err)
 code=$?
 set -e
@@ -159,8 +149,6 @@ check_golden serve_faults.out "$tmp/serve_faults.out"
 # Transcript 2: two consecutive budget exhaustions trip the rpq breaker
 # (threshold 2); the third query is served degraded under the small fixed
 # budget, and `stats` reports the open breaker.  No failpoints armed.
-# The plan layer is pinned on because `stats` embeds the cache counters
-# and `make check-plan` re-runs the suite with GQ_PLAN_CACHE=off.
 cat > "$tmp/serve_breaker.in" <<'EOF'
 load bank.graph
 set max-steps 2
@@ -171,8 +159,7 @@ stats
 quit
 EOF
 set +e
-(cd "$tmp" && GQ_FAILPOINTS= GQ_PLAN=on GQ_PLAN_CACHE=on GQ_BITSET=on GQ_PULL_THRESHOLD= \
-  "$GQD_ABS" --serve --breaker-threshold 2 \
+(cd "$tmp" && GQ_FAILPOINTS= "$GQD_ABS" --serve --breaker-threshold 2 \
   < serve_breaker.in > serve_breaker.out 2> serve_breaker.err)
 code=$?
 set -e
@@ -188,7 +175,7 @@ check_golden serve_breaker.out "$tmp/serve_breaker.out"
 # reports hits, the CRPQ `plan` shows the selectivity-ordered atoms, and
 # a second `load` bumps the generation: `stats` shows the dropped
 # products and the final `plan` sees the product cold again while the
-# query-only plan survives.  Plan layer pinned on, as above.
+# query-only plan survives.
 cat > "$tmp/serve_plan.in" <<'EOF'
 load bank.graph
 plan Transfer.Transfer*
@@ -202,7 +189,7 @@ plan Transfer.Transfer*
 quit
 EOF
 set +e
-(cd "$tmp" && GQ_FAILPOINTS= GQ_PLAN=on GQ_PLAN_CACHE=on GQ_BITSET=on GQ_PULL_THRESHOLD= "$GQD_ABS" --serve \
+(cd "$tmp" && GQ_FAILPOINTS= "$GQD_ABS" --serve \
   < serve_plan.in > serve_plan.out 2> serve_plan.err)
 code=$?
 set -e
@@ -236,8 +223,7 @@ wait_sock() {
 
 # (a) A zero-capacity server answers the connection itself with a
 #     structured shed reply and closes it; draining it exits 0.
-GQ_FAILPOINTS= GQ_PLAN=on GQ_PLAN_CACHE=on GQ_BITSET=on GQ_PULL_THRESHOLD= \
-  "$GQD_ABS" --listen "unix:$SOCK" --max-clients 0 \
+GQ_FAILPOINTS= "$GQD_ABS" --listen "unix:$SOCK" --max-clients 0 \
   > /dev/null 2> "$tmp/serve_server.err" &
 SRV=$!
 wait_sock "$SOCK"
@@ -257,7 +243,7 @@ wait "$SRV" || {
 #     loading.  Finally SIGTERM lands while a request is mid-evaluation:
 #     graceful drain still delivers that reply, exits 0, and unlinks
 #     the socket.
-( cd "$tmp" && GQ_FAILPOINTS="serve.eval=delay:200" GQ_PLAN=on GQ_PLAN_CACHE=on GQ_BITSET=on GQ_PULL_THRESHOLD= \
+( cd "$tmp" && GQ_FAILPOINTS="serve.eval=delay:200" \
   exec "$GQD_ABS" --listen "unix:$SOCK" --workers 1 --client-inflight 1 \
   > /dev/null 2> "$tmp/serve_server.err" ) &
 SRV=$!
@@ -291,7 +277,7 @@ check_golden serve_server.out "$tmp/serve_server.out"
 # answers both from a single multi-source run.  Each client's transcript
 # must be byte-identical to what a solo run would have answered, under
 # its own request id, and `stats` afterwards counts both batch members.
-( cd "$tmp" && GQ_FAILPOINTS="serve.eval=delay:300" GQ_PLAN=on GQ_PLAN_CACHE=on GQ_BITSET=on GQ_PULL_THRESHOLD= \
+( cd "$tmp" && GQ_FAILPOINTS="serve.eval=delay:300" \
   exec "$GQD_ABS" --listen "unix:$SOCK" --workers 1 \
   > /dev/null 2> "$tmp/serve_batch.err" ) &
 SRV=$!
@@ -364,15 +350,15 @@ run_expect 0 "$GQD" delta-load "$tmp/bank.graph" /dev/null # empty batch is a no
 run_expect 3 "$GQD" delta-load "$tmp/bank.graph" "$tmp/nosuch.delta"
 
 # Transcript 6: snapshot isolation under a live update stream.  Two
-# workers; the scalar engine is pinned (GQ_BITSET=off GQ_PULL_THRESHOLD=) and every source
-# BFS sleeps 400 ms, so client A's `rpq` holds its epoch-1 snapshot for
-# ~2.4 s.  Mid-flight, client B applies add-edge/del-edge (epochs 2 and
+# workers; every level sweep of the multi-source kernel sleeps 400 ms,
+# and `rpq Transfer*` on the bank graph takes five sweeps, so client A's
+# `rpq` holds its epoch-1 snapshot for ~2 s.  Mid-flight, client B applies add-edge/del-edge (epochs 2 and
 # 3) — A's answers must be byte-identical to a pre-delta run, while
 # client C, arriving after the writes, sees the updated graph, and
 # `stats` reports the final epoch, the delta count, and the label-keyed
 # invalidation of the Transfer product that was warm when the first
 # write landed.
-( cd "$tmp" && GQ_FAILPOINTS="rpq.bfs.step=delay:400" GQ_PLAN=on GQ_PLAN_CACHE=on GQ_BITSET=off GQ_PULL_THRESHOLD= \
+( cd "$tmp" && GQ_FAILPOINTS="rpq.bfs.step=delay:400" \
   exec "$GQD_ABS" --listen "unix:$SOCK" --workers 2 \
   > /dev/null 2> "$tmp/serve_update.err" ) &
 SRV=$!

@@ -1,7 +1,6 @@
 (* Bit-parallel kernel suite: the word-packed multi-source engine
    ([Rpq_bitset]) must be answer-for-answer interchangeable with the
-   scalar stamped-array engine and with the boolean-matrix semiring
-   oracle — at pool widths 1 and 4, and under every frontier direction
+   boolean-matrix semiring oracle — at pool widths 1 and 4, and under every frontier direction
    (forced push, forced pull, adaptive); under a budget its Partial
    payload must be a subset of the full answer set (in pull sweeps
    too); the 63-sources-per-word packing must be exercised right at the
@@ -12,13 +11,8 @@
 let pool1 = Pool.create ~size:1 ()
 let pool4 = Pool.create ~size:4 ()
 
-(* Pin the kernel for the extent of [f], then restore the
-   environment-driven default so tests compose in any order. *)
-let with_bitset b f =
-  Rpq_bitset.set_enabled b;
-  Fun.protect ~finally:Rpq_bitset.clear_enabled f
-
-(* Pin the frontier direction for the extent of [f]. *)
+(* Pin the frontier direction for the extent of [f], then restore the
+   adaptive default so tests compose in any order. *)
 let with_pull m f =
   Rpq_bitset.set_pull_mode m;
   Fun.protect ~finally:Rpq_bitset.clear_pull_mode f
@@ -116,28 +110,24 @@ let arb_graph_regex =
 
 let norm pairs = List.sort_uniq compare pairs
 
-(* --- equivalence: bitset = scalar = matrix oracle, widths 1 and 4 --------- *)
+(* --- equivalence: kernel (push/pull/adaptive/adaptive-eager) = matrix
+   oracle, at widths 1 and 4 ------------------------------------------------ *)
 
-let prop_bitset_vs_scalar_vs_matrix =
+let prop_kernel_vs_matrix =
   QCheck.Test.make ~count:150
-    ~name:"bitset (push/pull/adaptive) = scalar = matrix oracle (widths 1, 4)"
+    ~name:"kernel = matrix oracle (all modes)"
     arb_graph_regex
     (fun (g, r) ->
       let oracle = norm (Matrix_oracle.pairs g r) in
       let nfa = Nfa.of_regex r in
-      let sca1 =
-        with_bitset false (fun () -> norm (Rpq_eval.pairs_nfa ~pool:pool1 g nfa))
-      and sca4 =
-        with_bitset false (fun () -> norm (Rpq_eval.pairs_nfa ~pool:pool4 g nfa))
-      in
-      sca1 = oracle && sca4 = oracle
-      && List.for_all
-           (fun (_, m) ->
-             with_bitset true (fun () ->
-                 with_pull m (fun () ->
-                     norm (Rpq_eval.pairs_nfa ~pool:pool1 g nfa) = oracle
-                     && norm (Rpq_eval.pairs_nfa ~pool:pool4 g nfa) = oracle)))
-           pull_modes)
+      (* Not normalized: answers come back sorted and duplicate-free by
+         contract, so the merge order is checked too. *)
+      List.for_all
+        (fun (_, m) ->
+          with_pull m (fun () ->
+              Rpq_eval.pairs_nfa ~pool:pool1 g nfa = oracle
+              && Rpq_eval.pairs_nfa ~pool:pool4 g nfa = oracle))
+        pull_modes)
 
 (* --- budgets: Partial is a subset, Complete is everything ------------------ *)
 
@@ -151,14 +141,12 @@ let prop_partial_subset_under_budget =
     ~name:"bitset under step budget: Partial subset / Complete equal"
     arb_budgeted
     (fun ((g, r), max_steps) ->
-      with_bitset true (fun () ->
-          let full = norm (Rpq_eval.pairs g r) in
-          let gov = Governor.make ~max_steps () in
-          match Rpq_eval.pairs_bounded gov g r with
-          | Governor.Complete ps -> norm ps = full
-          | Governor.Partial (ps, _) ->
-              List.for_all (fun uv -> List.mem uv full) ps
-          | Governor.Aborted _ -> true))
+      let full = norm (Rpq_eval.pairs g r) in
+      let gov = Governor.make ~max_steps () in
+      match Rpq_eval.pairs_bounded gov g r with
+      | Governor.Complete ps -> norm ps = full
+      | Governor.Partial (ps, _) -> List.for_all (fun uv -> List.mem uv full) ps
+      | Governor.Aborted _ -> true)
 
 let prop_partial_subset_under_budget_pull =
   (* A budget trip mid-pull-sweep must also leave only true
@@ -167,15 +155,14 @@ let prop_partial_subset_under_budget_pull =
     ~name:"pull sweeps under step budget: Partial subset / Complete equal"
     arb_budgeted
     (fun ((g, r), max_steps) ->
-      with_bitset true (fun () ->
-          with_pull Rpq_bitset.Always_pull (fun () ->
-              let full = norm (Rpq_eval.pairs g r) in
-              let gov = Governor.make ~max_steps () in
-              match Rpq_eval.pairs_bounded gov g r with
-              | Governor.Complete ps -> norm ps = full
-              | Governor.Partial (ps, _) ->
-                  List.for_all (fun uv -> List.mem uv full) ps
-              | Governor.Aborted _ -> true)))
+      with_pull Rpq_bitset.Always_pull (fun () ->
+          let full = norm (Rpq_eval.pairs g r) in
+          let gov = Governor.make ~max_steps () in
+          match Rpq_eval.pairs_bounded gov g r with
+          | Governor.Complete ps -> norm ps = full
+          | Governor.Partial (ps, _) ->
+              List.for_all (fun uv -> List.mem uv full) ps
+          | Governor.Aborted _ -> true))
 
 let prop_count_matches_pairs =
   (* Count-only mode: same cardinality as the materializing run, zero
@@ -187,16 +174,15 @@ let prop_count_matches_pairs =
       let expected = List.length (norm (Matrix_oracle.pairs g r)) in
       List.for_all
         (fun (_, m) ->
-          with_bitset true (fun () ->
-              with_pull m (fun () ->
-                  let metrics = Metrics.create () in
-                  let obs = Obs.make ~metrics () in
-                  let got = Rpq_eval.count_pairs ~pool:pool1 ~obs g r in
-                  got = expected
-                  && Option.value ~default:0
-                       (List.assoc_opt "rpq.bitset.materialized"
-                          (Metrics.counters metrics))
-                     = 0)))
+          with_pull m (fun () ->
+              let metrics = Metrics.create () in
+              let obs = Obs.make ~metrics () in
+              let got = Rpq_eval.count_pairs ~pool:pool1 ~obs g r in
+              got = expected
+              && Option.value ~default:0
+                   (List.assoc_opt "rpq.bitset.materialized"
+                      (Metrics.counters metrics))
+                 = 0))
         pull_modes)
 
 let prop_count_result_cap =
@@ -204,19 +190,18 @@ let prop_count_result_cap =
     arb_graph_regex
     (fun (g, r) ->
       let full = List.length (norm (Matrix_oracle.pairs g r)) in
-      with_bitset true (fun () ->
-          let cap = 3 in
-          let gov = Governor.make ~max_results:cap () in
-          let got =
-            Governor.payload ~default:0
-              (Rpq_eval.count_pairs_bounded ~pool:pool1 gov g r)
-          in
-          got = min cap full))
+      let cap = 3 in
+      let gov = Governor.make ~max_results:cap () in
+      let got =
+        Governor.payload ~default:0
+          (Rpq_eval.count_pairs_bounded ~pool:pool1 gov g r)
+      in
+      got = min cap full)
 
 let prop_check_matches_oracle =
   (* The kernel first-k path behind [check]: membership must agree with
-     the oracle and the scalar fallback for every (src, tgt). *)
-  QCheck.Test.make ~count:75 ~name:"kernel check = scalar check = oracle"
+     the oracle for every (src, tgt), under every direction. *)
+  QCheck.Test.make ~count:75 ~name:"kernel check = oracle"
     arb_graph_regex
     (fun (g, r) ->
       let oracle = norm (Matrix_oracle.pairs g r) in
@@ -225,13 +210,11 @@ let prop_check_matches_oracle =
       for src = 0 to n - 1 do
         for tgt = 0 to n - 1 do
           let expected = List.mem (src, tgt) oracle in
-          let kern =
-            with_bitset true (fun () -> Rpq_eval.check g r ~src ~tgt)
-          in
-          let scal =
-            with_bitset false (fun () -> Rpq_eval.check g r ~src ~tgt)
-          in
-          if kern <> expected || scal <> expected then ok := false
+          List.iter
+            (fun (_, m) ->
+              if with_pull m (fun () -> Rpq_eval.check g r ~src ~tgt) <> expected
+              then ok := false)
+            pull_modes
         done
       done;
       !ok)
@@ -241,13 +224,12 @@ let prop_result_cap_exact =
      approximation of it. *)
   QCheck.Test.make ~count:150 ~name:"bitset result cap is exact" arb_graph_regex
     (fun (g, r) ->
-      with_bitset true (fun () ->
-          let full = norm (Rpq_eval.pairs g r) in
-          let cap = 3 in
-          let gov = Governor.make ~max_results:cap () in
-          let ps = Governor.payload ~default:[] (Rpq_eval.pairs_bounded gov g r) in
-          List.length ps = min cap (List.length full)
-          && List.for_all (fun uv -> List.mem uv full) ps))
+      let full = norm (Rpq_eval.pairs g r) in
+      let cap = 3 in
+      let gov = Governor.make ~max_results:cap () in
+      let ps = Governor.payload ~default:[] (Rpq_eval.pairs_bounded gov g r) in
+      List.length ps = min cap (List.length full)
+      && List.for_all (fun uv -> List.mem uv full) ps)
 
 (* --- block boundaries: 62 / 63 / 64 / 65 sources --------------------------- *)
 
@@ -279,14 +261,12 @@ let test_hub_equivalence () =
   in
   let oracle = norm (Matrix_oracle.pairs g r) in
   let nfa = Nfa.of_regex r in
-  let bit =
-    with_bitset true (fun () -> norm (Rpq_eval.pairs_nfa ~pool:pool1 g nfa))
-  and sca =
-    with_bitset false (fun () -> norm (Rpq_eval.pairs_nfa ~pool:pool1 g nfa))
-  in
-  Alcotest.(check bool) "bitset = oracle on hub" true (bit = oracle);
-  Alcotest.(check bool) "scalar = oracle on hub" true (sca = oracle);
-  Alcotest.(check int) "every spoke reaches every sink" 20 (List.length bit)
+  List.iter
+    (fun (mname, m) ->
+      let got = with_pull m (fun () -> norm (Rpq_eval.pairs_nfa ~pool:pool1 g nfa)) in
+      Alcotest.(check bool) ("kernel = oracle on hub (" ^ mname ^ ")") true (got = oracle))
+    pull_modes;
+  Alcotest.(check int) "every spoke reaches every sink" 20 (List.length oracle)
 
 let test_block_boundaries () =
   List.iter
@@ -294,17 +274,11 @@ let test_block_boundaries () =
       List.iter
         (fun m ->
           let g = star m in
-          let t = Elg.node_id g "t" in
-          let expected =
-            norm
-              (List.init m (fun i -> (Elg.node_id g (Printf.sprintf "s%d" i), t)))
-          in
+          let expected = norm (Matrix_oracle.pairs g re_ab) in
           let metrics = Metrics.create () in
           let obs = Obs.make ~metrics () in
           let got =
-            with_bitset true (fun () ->
-                with_pull pm (fun () ->
-                    norm (Rpq_eval.pairs ~pool:pool4 ~obs g re_ab)))
+            with_pull pm (fun () -> norm (Rpq_eval.pairs ~pool:pool4 ~obs g re_ab))
           in
           Alcotest.(check bool)
             (Printf.sprintf "answers at %d sources (%s)" m mname)
@@ -332,34 +306,32 @@ let test_targets_boundaries () =
       List.iter
         (fun m ->
           let g = star m in
-          let t = Elg.node_id g "t" in
-          let hub = Elg.node_id g "hub" in
           let p = Product.make g (Nfa.of_regex re_ab) in
           let sources =
             Array.append
               (Array.init m (fun i -> Elg.node_id g (Printf.sprintf "s%d" i)))
-              [| hub; t |]
+              [| Elg.node_id g "hub"; Elg.node_id g "t" |]
+          in
+          let oracle = norm (Matrix_oracle.pairs g re_ab) in
+          let expected src =
+            Array.of_list
+              (List.filter_map
+                 (fun (u, v) -> if u = src then Some v else None)
+                 oracle)
           in
           let out =
-            with_bitset true (fun () ->
-                with_pull pm (fun () ->
-                    Rpq_bitset.targets (Governor.unlimited ()) p ~sources))
+            with_pull pm (fun () ->
+                Rpq_bitset.targets (Governor.unlimited ()) p ~sources)
           in
           Alcotest.(check int)
             (Printf.sprintf "slices at %d spokes (%s)" m mname)
             (m + 2) (Array.length out);
-          for i = 0 to m - 1 do
-            Alcotest.(check (array int))
-              (Printf.sprintf "spoke %d of %d (%s)" i m mname)
-              [| t |] out.(i)
-          done;
-          Alcotest.(check (array int))
-            (Printf.sprintf "hub reaches nothing (%s)" mname)
-            [||] out.(m);
-          Alcotest.(check (array int))
-            (Printf.sprintf "t reaches nothing (%s)" mname)
-            [||]
-            out.(m + 1))
+          Array.iteri
+            (fun i src ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "source %d of %d spokes (%s)" i m mname)
+                (expected src) out.(i))
+            sources)
         [ 62; 63; 64; 65 ])
     [ ("push", Rpq_bitset.Always_push); ("pull", Rpq_bitset.Always_pull) ]
 
@@ -369,7 +341,7 @@ let () =
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_bitset_vs_scalar_vs_matrix;
+            prop_kernel_vs_matrix;
             prop_partial_subset_under_budget;
             prop_partial_subset_under_budget_pull;
             prop_result_cap_exact;

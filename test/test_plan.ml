@@ -38,10 +38,10 @@ let test_lru_generations () =
   Alcotest.(check int) "invalidated counter" 2 (Lru.invalidated c);
   Alcotest.(check int) "idempotent" 0 (Lru.drop_generations_except c 2)
 
-(* --- Plan_cache: hit/miss accounting, disabled mode, error paths -------- *)
+(* --- Plan_cache: hit/miss accounting, error paths ------------------------ *)
 
 let test_plan_cache_hits () =
-  let pc = Plan_cache.create ~enabled:true () in
+  let pc = Plan_cache.create () in
   let compile text =
     Plan_cache.compile pc ~flags:"rpq" ~parse:Rpq_parse.parse_res text
   in
@@ -72,21 +72,10 @@ let test_plan_cache_hits () =
         (Dfa.accepts (Lazy.force c1.Plan_cache.dfa) [ "a"; "b" ])
   | _ -> Alcotest.fail "recompile failed"
 
-let test_plan_cache_disabled () =
-  let pc = Plan_cache.create ~enabled:false () in
-  let compile () =
-    Plan_cache.compile pc ~flags:"rpq" ~parse:Rpq_parse.parse_res "a*"
-  in
-  (match compile () with Ok _ -> () | Error _ -> Alcotest.fail "compile");
-  (match compile () with Ok _ -> () | Error _ -> Alcotest.fail "compile");
-  Alcotest.(check int) "nothing stored" 0 (Plan_cache.length pc);
-  Alcotest.(check int) "no hits" 0 (Plan_cache.hits pc);
-  Alcotest.(check int) "every request misses" 2 (Plan_cache.misses pc)
-
 (* --- Rpq_compile: product cache + generation invalidation --------------- *)
 
 let test_generation_invalidation () =
-  let t = Rpq_compile.create ~enabled:true () in
+  let t = Rpq_compile.create () in
   let c =
     match Rpq_compile.compile t "Transfer*" with
     | Ok c -> c
@@ -356,7 +345,7 @@ let prop_cached_equals_cold =
        QCheck.Gen.(pair gen_graph gen_regex))
     (fun (g, r) ->
       let cold = Rpq_eval.pairs g r in
-      let t = Rpq_compile.create ~enabled:true () in
+      let t = Rpq_compile.create () in
       let c = Rpq_compile.compile_ast t r in
       let eval () =
         Governor.payload ~default:[]
@@ -380,7 +369,7 @@ let prop_reverse_is_language_reversal =
        ~print:(fun (_, r) -> Regex.to_string Sym.to_string r)
        QCheck.Gen.(pair gen_graph gen_regex))
     (fun (g, r) ->
-      let rg = Rpq_compile.reversed_graph (Rpq_compile.create ~enabled:false ()) g in
+      let rg = Rpq_compile.reversed_graph (Rpq_compile.create ()) g in
       List.sort compare
         (List.map (fun (u, v) -> (v, u)) (Rpq_eval.pairs rg (Regex.reverse r)))
       = Rpq_eval.pairs g r)
@@ -419,7 +408,7 @@ let prop_backward_capped_is_sorted_subset =
        QCheck.Gen.(
          triple gen_funnel (oneofa funnel_queries) (int_range 0 60)))
     (fun (g, text, cap) ->
-      let t = Rpq_compile.create ~enabled:true () in
+      let t = Rpq_compile.create () in
       let c = Result.get_ok (Rpq_compile.compile t text) in
       if Planner.direction_of (Stats.get g) c.Plan_cache.ast <> Planner.Backward
       then QCheck.Test.fail_reportf "%s is not evaluated backward" text;
@@ -453,7 +442,6 @@ let () =
       ( "plan cache",
         [
           Alcotest.test_case "hit/miss accounting" `Quick test_plan_cache_hits;
-          Alcotest.test_case "disabled mode" `Quick test_plan_cache_disabled;
           Alcotest.test_case "generation invalidation" `Quick
             test_generation_invalidation;
         ] );

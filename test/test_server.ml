@@ -350,9 +350,9 @@ let test_queue_full_shed () =
    into debt, and its next request is shed with a computed retry hint —
    the isolation mechanism of E21. *)
 let test_budget_shed () =
-  (* Budget below the cost of [rpq a*] on the line graph under either
-     kernel: the bitset engine charges one tick per span *sweep*, so the
-     same query costs ~63x fewer steps than the scalar engine's ~40k. *)
+  (* Budget below the cost of [rpq a*] on the line graph: the kernel
+     charges one tick per span *sweep*, so the query costs ~63x fewer
+     steps than a per-source BFS's ~40k, and still more than 500. *)
   let@ t = with_server (base_config ~workers:2 ~client_budget:500 ()) in
   let c = connect t in
   send c (Printf.sprintf "load %s" (Lazy.force line_file));

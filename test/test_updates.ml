@@ -379,7 +379,7 @@ let prop_answers_equal =
 let prop_cache_consistency =
   QCheck.Test.make ~count:120 ~name:"plan cache consistent across deltas"
     seed_arb (fun seed ->
-      let t = Rpq_compile.create ~enabled:true () in
+      let t = Rpq_compile.create () in
       let texts = [ "a"; "a.b*"; "(a|c)*"; "_*" ] in
       let compiled =
         List.map
@@ -634,7 +634,7 @@ let test_epoch_isolation () =
 (* --- label-keyed retention (the warm-cache regression) -------------------- *)
 
 let test_untouched_label_stays_warm () =
-  let t = Rpq_compile.create ~enabled:true () in
+  let t = Rpq_compile.create () in
   let nodes = [ "u"; "v"; "w" ] in
   let pg =
     mk_pg nodes [ ("ea", "u", "a", "v"); ("ed0", "v", "d", "w") ]
@@ -697,7 +697,7 @@ let test_untouched_label_stays_warm () =
    collection, the pre-delta graph is gone, and the migrated product
    still answers like a cold evaluation on the current snapshot. *)
 let test_migrated_product_releases_snapshot () =
-  let t = Rpq_compile.create ~enabled:true () in
+  let t = Rpq_compile.create () in
   let c =
     match Rpq_compile.compile t "a.a*" with
     | Ok c -> c
